@@ -29,14 +29,16 @@ race:
 
 race-serve:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/serve/...
+	$(GO) test -race -cpu 1,2,4 ./internal/serve/...
 
 # race-cluster runs the sharding/failover/hedging layer and the circuit
 # breaker (whose half-open exclusivity the proxy leans on) under the race
 # detector — the cluster race loop is the most contended code in the repo.
+# Both race targets run at several GOMAXPROCS settings: the breaker's probe
+# race only showed on more than one CPU.
 race-cluster:
 	$(GO) vet ./internal/cluster/... ./internal/resilience/...
-	$(GO) test -race ./internal/cluster/... ./internal/resilience/...
+	$(GO) test -race -cpu 1,2,4 ./internal/cluster/... ./internal/resilience/...
 
 # serve-smoke boots sdserver, fires sdload at it for 2 s, and asserts a
 # non-zero decoded count (end-to-end liveness of the serving stack).
@@ -110,3 +112,4 @@ bench-check:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQR -fuzztime=30s ./internal/cmatrix/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve/

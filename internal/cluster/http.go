@@ -98,19 +98,12 @@ func decodeStatus(r *http.Request, err error) (int, string) {
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req serve.DecodeRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("malformed request body: %w", err))
+	req, err := serve.ReadDecodeRequest(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, err)
 		return
 	}
 	if len(req.Frames) > 0 {
-		if len(req.H) > 0 || len(req.Y) > 0 || req.NoiseVar != 0 {
-			writeError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				errors.New("request mixes single-frame fields (h/y/noise_var) with the batch form (frames)"))
-			return
-		}
 		h.decodeBatch(w, r, req.Frames)
 		return
 	}
@@ -138,13 +131,6 @@ type BatchDecodeResponse struct {
 // decodeBatch fans the frames out concurrently; each routes independently,
 // since different channels hash to different shards.
 func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, frames []serve.DecodeRequest) {
-	for i := range frames {
-		if len(frames[i].Frames) > 0 {
-			writeError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				fmt.Errorf("frames[%d] nests a frames array", i))
-			return
-		}
-	}
 	results := make([]BatchDecodeResult, len(frames))
 	var wg sync.WaitGroup
 	for i := range frames {

@@ -451,7 +451,8 @@ func (p *Proxy) race(ctx context.Context, candidates []*shard, body []byte) (att
 				p.m.darkSkips.Add(1)
 				continue
 			}
-			if ok, _ := sh.breaker.Allow(); !ok {
+			ticket, ok := sh.breaker.Allow()
+			if !ok {
 				p.m.breakerSkips.Add(1)
 				continue
 			}
@@ -464,15 +465,18 @@ func (p *Proxy) race(ctx context.Context, candidates []*shard, body []byte) (att
 				resp, err := sh.decode(actx, body)
 				switch {
 				case err == nil:
-					sh.breaker.Success()
+					sh.breaker.Success(ticket)
 					sh.observeLatency(time.Since(start))
 					if !won.CompareAndSwap(false, true) {
 						p.m.hedgeWaste.Add(1)
 					}
 				case isPermanent(err):
-					// The request is at fault, not the shard: no verdict.
+					// The request is at fault, not the shard, but the shard
+					// answered: that settles a half-open probe, which would
+					// otherwise hold the breaker half-open for good.
+					sh.breaker.Success(ticket)
 				default:
-					sh.breaker.Failure()
+					sh.breaker.Failure(ticket)
 				}
 				results <- attemptOut{resp: resp, err: err, sh: sh, idx: idx, hedge: hedge}
 			}()

@@ -120,14 +120,27 @@ type Breaker struct {
 
 	mu        sync.Mutex
 	state     BreakerState
+	gen       uint64        // bumped on every state change; stamps tickets
 	failures  int           // consecutive failures while closed
 	openedAt  time.Time     // when the breaker last opened
 	cooldown  time.Duration // current open dwell
 	prevSleep time.Duration // decorrelated-jitter state
-	probing   bool          // a half-open probe is in flight
 	jitter    *rng.Rand
 	counters  BreakerCounters
 }
+
+// Ticket is one admission issued by Allow, stamped with the breaker state
+// it was issued in. Its outcome is reported with Success or Failure; an
+// outcome whose ticket predates the breaker's current state is ignored, so
+// a call admitted while closed cannot resolve a later half-open probe.
+type Ticket struct {
+	gen   uint64
+	probe bool
+}
+
+// Probe reports whether the ticket admits the half-open probe whose outcome
+// decides the breaker's fate.
+func (t Ticket) Probe() bool { return t.probe }
 
 // NewBreaker builds a breaker in the closed state.
 func NewBreaker(cfg BreakerConfig) *Breaker {
@@ -135,50 +148,41 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg, jitter: rng.New(cfg.Seed), prevSleep: cfg.CooldownBase}
 }
 
-// Allow reports whether a call may proceed. probe is true when the admitted
-// call is the half-open probe whose outcome decides the breaker's fate — the
-// caller MUST report it via Success or Failure, or the breaker stays
-// half-open forever.
-func (b *Breaker) Allow() (ok, probe bool) {
+// Allow reports whether a call may proceed and, if so, issues its ticket.
+// A probe ticket MUST be reported via Success or Failure, or the breaker
+// stays half-open forever.
+func (b *Breaker) Allow() (Ticket, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		return true, false
+		return Ticket{gen: b.gen}, true
 	case BreakerOpen:
 		if b.cfg.now().Sub(b.openedAt) >= b.cooldown {
-			b.state = BreakerHalfOpen
-			b.probing = true
+			b.setState(BreakerHalfOpen)
 			b.counters.Probes++
-			return true, true
+			return Ticket{gen: b.gen, probe: true}, true
 		}
-		b.counters.ShortCircuited++
-		return false, false
-	default: // BreakerHalfOpen
-		if !b.probing {
-			// The probe resolved between the state read and now; admit the
-			// next caller as a fresh probe.
-			b.probing = true
-			b.counters.Probes++
-			return true, true
-		}
-		b.counters.ShortCircuited++
-		return false, false
 	}
+	// Open within its cooldown, or half-open with the probe in flight.
+	b.counters.ShortCircuited++
+	return Ticket{}, false
 }
 
 // Success records a successful call. A half-open probe success closes the
 // breaker and resets the jitter growth.
-func (b *Breaker) Success() {
+func (b *Breaker) Success(t Ticket) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if t.gen != b.gen {
+		return
+	}
 	switch b.state {
 	case BreakerClosed:
 		b.failures = 0
 	case BreakerHalfOpen:
-		b.state = BreakerClosed
+		b.setState(BreakerClosed)
 		b.failures = 0
-		b.probing = false
 		b.prevSleep = b.cfg.CooldownBase
 		b.counters.Reclosed++
 	}
@@ -187,9 +191,12 @@ func (b *Breaker) Success() {
 // Failure records a failed call. Enough consecutive closed-state failures
 // trip the breaker; a half-open probe failure re-opens it with a longer,
 // decorrelated-jittered cooldown.
-func (b *Breaker) Failure() {
+func (b *Breaker) Failure(t Ticket) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if t.gen != b.gen {
+		return
+	}
 	switch b.state {
 	case BreakerClosed:
 		b.failures++
@@ -197,15 +204,21 @@ func (b *Breaker) Failure() {
 			b.trip()
 		}
 	case BreakerHalfOpen:
-		b.probing = false
 		b.trip()
 	}
+}
+
+// setState moves to st and invalidates every outstanding ticket. Callers
+// hold b.mu.
+func (b *Breaker) setState(st BreakerState) {
+	b.state = st
+	b.gen++
 }
 
 // trip moves to open with the next decorrelated-jitter cooldown:
 // sleep = min(cap, uniform(base, 3·prevSleep)). Callers hold b.mu.
 func (b *Breaker) trip() {
-	b.state = BreakerOpen
+	b.setState(BreakerOpen)
 	b.openedAt = b.cfg.now()
 	b.failures = 0
 	lo, hi := b.cfg.CooldownBase, 3*b.prevSleep

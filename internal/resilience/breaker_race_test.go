@@ -24,7 +24,7 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 		now:              func() time.Time { return time.Unix(0, fake.Load()) },
 	}
 	b := NewBreaker(cfg)
-	b.Failure() // trip it
+	b.Failure(mustAllow(t, b)) // trip it
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker not open after threshold failures")
 	}
@@ -46,19 +46,19 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 				// March the fake clock past the cooldown so open states keep
 				// converting into probe opportunities throughout the hammer.
 				fake.Add(int64(100 * time.Microsecond))
-				ok, probe := b.Allow()
+				ticket, ok := b.Allow()
 				if !ok {
 					continue
 				}
-				if !probe {
+				if !ticket.Probe() {
 					// Closed-state admission: resolve as a success (keeps the
 					// breaker cycling between closed and open via the
 					// occasional failure below).
 					nonProbeOK.Add(1)
 					if i%7 == 0 {
-						b.Failure()
+						b.Failure(ticket)
 					} else {
-						b.Success()
+						b.Success(ticket)
 					}
 					continue
 				}
@@ -74,7 +74,7 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 				// would have ample room to admit a second probe.
 				for spin := 0; spin < 50; spin++ {
 					fake.Add(int64(time.Millisecond))
-					if ok2, probe2 := b.Allow(); ok2 && probe2 {
+					if t2, ok2 := b.Allow(); ok2 && t2.Probe() {
 						t.Errorf("second probe admitted while one was unresolved")
 					} else if ok2 {
 						t.Errorf("non-probe traffic admitted while half-open")
@@ -82,9 +82,9 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 				}
 				inProbe.Add(-1)
 				if i%2 == 0 {
-					b.Success()
+					b.Success(ticket)
 				} else {
-					b.Failure()
+					b.Failure(ticket)
 				}
 			}
 		}(g)
@@ -114,26 +114,64 @@ func TestBreakerProbeHandoff(t *testing.T) {
 		CooldownCap:      time.Millisecond,
 		now:              func() time.Time { return time.Unix(0, fake.Load()) },
 	})
-	b.Failure()
+	b.Failure(mustAllow(t, b))
 	fake.Add(int64(2 * time.Millisecond))
-	ok, probe := b.Allow()
-	if !ok || !probe {
-		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe)
+	probe, ok := b.Allow()
+	if !ok || !probe.Probe() {
+		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe.Probe())
 	}
-	b.Failure() // probe fails: re-open with longer cooldown
+	b.Failure(probe) // probe fails: re-open with longer cooldown
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker not re-open after failed probe")
 	}
 	fake.Add(int64(10 * time.Millisecond))
-	ok, probe = b.Allow()
-	if !ok || !probe {
-		t.Fatalf("no fresh probe after re-open cooldown: (%v, %v)", ok, probe)
+	probe, ok = b.Allow()
+	if !ok || !probe.Probe() {
+		t.Fatalf("no fresh probe after re-open cooldown: (%v, %v)", ok, probe.Probe())
 	}
-	b.Success()
+	b.Success(probe)
 	if b.State() != BreakerClosed {
 		t.Fatal("breaker not closed after successful probe")
 	}
 	if c := b.Counters(); c.Reclosed != 1 || c.Probes != 2 {
 		t.Fatalf("counters %+v, want 2 probes and 1 reclose", c)
+	}
+}
+
+// TestBreakerStaleTicketIgnored: an outcome reported on a ticket from an
+// earlier breaker state must not move the breaker. A call admitted while
+// closed that finishes after the breaker tripped and went half-open would
+// otherwise close it with the real probe still in flight.
+func TestBreakerStaleTicketIgnored(t *testing.T) {
+	var fake atomic.Int64
+	b := NewBreaker(BreakerConfig{
+		FailureThreshold: 1,
+		CooldownBase:     time.Millisecond,
+		CooldownCap:      time.Millisecond,
+		now:              func() time.Time { return time.Unix(0, fake.Load()) },
+	})
+	slow := mustAllow(t, b)
+	b.Failure(mustAllow(t, b))
+	fake.Add(int64(2 * time.Millisecond))
+	probe := mustAllow(t, b)
+	if !probe.Probe() {
+		t.Fatal("no probe after cooldown")
+	}
+	b.Success(slow)
+	if st := b.State(); st != BreakerHalfOpen {
+		t.Fatalf("stale success moved the breaker to %v", st)
+	}
+	b.Failure(slow)
+	if st := b.State(); st != BreakerHalfOpen {
+		t.Fatalf("stale failure moved the breaker to %v", st)
+	}
+	b.Success(probe)
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("probe success left the breaker %v", st)
+	}
+	// The probe's ticket is spent: reporting it again changes nothing.
+	b.Failure(probe)
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("replayed probe ticket moved the breaker to %v", st)
 	}
 }

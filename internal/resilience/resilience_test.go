@@ -38,51 +38,63 @@ func newTestBreaker(threshold int, base, cap time.Duration) (*Breaker, *fakeCloc
 	return b, clk
 }
 
+// mustAllow returns the ticket of a call b admits, failing the test if b
+// refuses it.
+func mustAllow(t *testing.T, b *Breaker) Ticket {
+	t.Helper()
+	ticket, ok := b.Allow()
+	if !ok {
+		t.Fatalf("breaker in state %v refused a call", b.State())
+	}
+	return ticket
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	b, clk := newTestBreaker(3, 100*time.Millisecond, time.Second)
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("initial state %v", st)
 	}
 	// Failures below threshold keep it closed; a success resets the count.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
+	b.Failure(mustAllow(t, b))
+	b.Failure(mustAllow(t, b))
+	b.Success(mustAllow(t, b))
+	b.Failure(mustAllow(t, b))
+	b.Failure(mustAllow(t, b))
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("state %v after interrupted failure run, want closed", st)
 	}
 	// Third consecutive failure trips it.
-	b.Failure()
+	b.Failure(mustAllow(t, b))
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state %v after threshold failures, want open", st)
 	}
-	if ok, _ := b.Allow(); ok {
+	if _, ok := b.Allow(); ok {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 	// After the cooldown (cap bounds it at 1s) the next Allow is the probe.
 	clk.advance(time.Second)
-	ok, probe := b.Allow()
-	if !ok || !probe {
-		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe)
+	probe, ok := b.Allow()
+	if !ok || !probe.Probe() {
+		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe.Probe())
 	}
 	if st := b.State(); st != BreakerHalfOpen {
 		t.Fatalf("state %v during probe, want half-open", st)
 	}
 	// While the probe is in flight everything else is short-circuited.
-	if ok, _ := b.Allow(); ok {
+	if _, ok := b.Allow(); ok {
 		t.Fatal("half-open breaker admitted a second call during the probe")
 	}
 	// Probe failure re-opens; probe success after another cooldown closes.
-	b.Failure()
+	b.Failure(probe)
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state %v after probe failure, want open", st)
 	}
 	clk.advance(time.Second)
-	if ok, probe := b.Allow(); !ok || !probe {
+	probe, ok = b.Allow()
+	if !ok || !probe.Probe() {
 		t.Fatal("no second probe after re-open cooldown")
 	}
-	b.Success()
+	b.Success(probe)
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("state %v after probe success, want closed", st)
 	}
@@ -98,8 +110,9 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerJitterBounds(t *testing.T) {
 	base, cap := 10*time.Millisecond, 80*time.Millisecond
 	b, clk := newTestBreaker(1, base, cap)
+	ticket := mustAllow(t, b)
 	for i := 0; i < 50; i++ {
-		b.Failure() // trips (threshold 1) or fails the probe
+		b.Failure(ticket) // trips (threshold 1) or fails the probe
 		b.mu.Lock()
 		d := b.cooldown
 		b.mu.Unlock()
@@ -107,7 +120,8 @@ func TestBreakerJitterBounds(t *testing.T) {
 			t.Fatalf("re-open %d: cooldown %v outside [%v, %v]", i, d, base, cap)
 		}
 		clk.advance(cap)
-		if ok, probe := b.Allow(); !ok || !probe {
+		var ok bool
+		if ticket, ok = b.Allow(); !ok || !ticket.Probe() {
 			t.Fatalf("re-open %d: no probe after cap dwell", i)
 		}
 	}
@@ -115,7 +129,7 @@ func TestBreakerJitterBounds(t *testing.T) {
 
 func TestBreakerConcurrentProbeExclusive(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Millisecond, time.Millisecond)
-	b.Failure()
+	b.Failure(mustAllow(t, b))
 	clk.advance(time.Millisecond)
 	var probes int64
 	var mu sync.Mutex
@@ -124,7 +138,7 @@ func TestBreakerConcurrentProbeExclusive(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ok, probe := b.Allow(); ok && probe {
+			if ticket, ok := b.Allow(); ok && ticket.Probe() {
 				mu.Lock()
 				probes++
 				mu.Unlock()

@@ -21,7 +21,8 @@ const APIVersion = "v1"
 
 // DecodeRequest is the JSON body of POST /v1/decode. Two forms are accepted:
 // a single frame (h, y, noise_var) or a batch envelope (frames: [...]), never
-// both in one body. Unknown fields are rejected with a typed 400.
+// both in one body. Unknown fields are rejected with a typed 400. It decodes
+// through the schema-specific parser in wire.go, not reflection.
 type DecodeRequest struct {
 	// H is the Rx×Tx channel estimate, row-major, entries as [re, im].
 	H [][][2]float64 `json:"h,omitempty"`
@@ -238,20 +239,13 @@ func (h *handler) responseFrom(resp *Response) *DecodeResponse {
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req DecodeRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("malformed request body: %w", err))
+	req, err := ReadDecodeRequest(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	if len(req.Frames) > 0 {
-		if len(req.H) > 0 || len(req.Y) > 0 || req.NoiseVar != 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				errors.New("request mixes single-frame fields (h/y/noise_var) with the batch form (frames)"))
-			return
-		}
-		h.decodeBatch(w, r, req.Frames, req.Scenario)
+		h.decodeBatch(w, r, req.Frames)
 		return
 	}
 	in, err := req.ToBatchInput()
@@ -268,37 +262,33 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.responseFrom(resp))
 }
 
-// decodeBatch serves the frames form: every frame is submitted concurrently
-// so the scheduler's batcher can coalesce them into shared dispatches.
-// scenario is the envelope-level label; frames may override it.
-func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, frames []DecodeRequest, scenario string) {
-	results := make([]BatchDecodeResult, len(frames))
-	var wg sync.WaitGroup
+// decodeBatch serves the frames form: every frame is converted first, so a
+// bad frame rejects the whole envelope before any frame is submitted, then
+// all are submitted concurrently so the scheduler's batcher can coalesce
+// them into shared dispatches.
+func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, frames []DecodeRequest) {
+	ins := make([]core.BatchInput, len(frames))
 	for i := range frames {
-		if len(frames[i].Frames) > 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("frames[%d] nests a frames array", i))
-			return
-		}
 		in, err := frames[i].ToBatchInput()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("frames[%d]: %w", i, err))
 			return
 		}
-		label := frames[i].Scenario
-		if label == "" {
-			label = scenario
-		}
+		ins[i] = in
+	}
+	results := make([]BatchDecodeResult, len(frames))
+	var wg sync.WaitGroup
+	for i := range frames {
 		wg.Add(1)
-		go func(i int, in core.BatchInput, label string) {
+		go func(i int) {
 			defer wg.Done()
-			resp, err := h.s.SubmitScenario(r.Context(), in, label)
+			resp, err := h.s.SubmitScenario(r.Context(), ins[i], frames[i].Scenario)
 			if err != nil {
 				results[i] = BatchDecodeResult{Error: err.Error()}
 				return
 			}
 			results[i] = BatchDecodeResult{DecodeResponse: h.responseFrom(resp)}
-		}(i, in, label)
+		}(i)
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, BatchDecodeResponse{APIVersion: APIVersion, Results: results})

@@ -193,3 +193,38 @@ func TestHTTPOverloadStatus(t *testing.T) {
 		t.Fatalf("no successes under saturation: %v", got)
 	}
 }
+
+// TestHTTPBatchRejectsBeforeSubmitting: an envelope with one bad frame is
+// rejected whole, and none of its good frames reach the scheduler.
+func TestHTTPBatchRejectsBeforeSubmitting(t *testing.T) {
+	s, srv := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	var env DecodeRequest
+	for i := 0; i < 15; i++ {
+		var one DecodeRequest
+		if err := json.Unmarshal(wireRequest(t, 1, uint64(120+i)), &one); err != nil {
+			t.Fatal(err)
+		}
+		env.Frames = append(env.Frames, one)
+	}
+	ragged := env.Frames[0]
+	ragged.H = append(append([][][2]float64(nil), ragged.H...), ragged.H[0][:1])
+	env.Frames = append(env.Frames, ragged)
+	body, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Submitted
+	resp, err := http.Post(srv.URL+"/v1/decode", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	// Give any frame that did slip through time to land in the counters.
+	time.Sleep(50 * time.Millisecond)
+	if after := s.Stats().Submitted; after != before {
+		t.Fatalf("submitted went %d -> %d for a rejected envelope", before, after)
+	}
+}

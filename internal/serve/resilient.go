@@ -470,7 +470,7 @@ func (s *Scheduler) noteWorkerSDC(w *workerCtl, n int) bool {
 // the disabled-path cost the benchmarks pin). With timers armed the decode
 // runs on a goroutine; on timeout the backend is abandoned (marked lost, its
 // eventual outcome drained into the breaker) and a sentinel error returned.
-func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode) (*core.BatchReport, error) {
+func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode) (*core.BatchReport, error) {
 	rcfg := s.rcfg
 	if rcfg.HedgeAfter <= 0 && rcfg.WedgeTimeout <= 0 {
 		var rep *core.BatchReport
@@ -520,10 +520,10 @@ func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.
 			if !s.hedgeBudget.Spend() {
 				continue
 			}
-			s.abandonPrimary(w, ch, inputs, mode)
+			s.abandonPrimary(w, ticket, ch, inputs, mode)
 			return nil, errHedged
 		case <-wedgeC:
-			s.abandonPrimary(w, ch, inputs, mode)
+			s.abandonPrimary(w, ticket, ch, inputs, mode)
 			return nil, errWedged
 		}
 	}
@@ -531,9 +531,10 @@ func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.
 
 // abandonPrimary detaches a still-running decode from its worker: the
 // backend is marked lost (replaced before next use) and a drain goroutine
-// feeds the decode's eventual outcome into the breaker so an abandoned-but-
-// healthy backend still earns its way back to closed.
-func (s *Scheduler) abandonPrimary(w *workerCtl, ch <-chan attemptResult, inputs []core.BatchInput, mode auditMode) {
+// feeds the decode's eventual outcome into the breaker, on the ticket that
+// admitted it, so an abandoned-but-healthy backend still earns its way back
+// to closed.
+func (s *Scheduler) abandonPrimary(w *workerCtl, ticket resilience.Ticket, ch <-chan attemptResult, inputs []core.BatchInput, mode auditMode) {
 	w.mu.Lock()
 	w.beLost = true
 	w.mu.Unlock()
@@ -543,12 +544,12 @@ func (s *Scheduler) abandonPrimary(w *workerCtl, ch <-chan attemptResult, inputs
 			r.err = checkReport(r.rep, inputs, mode)
 		}
 		if r.err == nil {
-			w.breaker.Success()
+			w.breaker.Success(ticket)
 			s.m.mu.Lock()
 			s.m.hedgeWaste++
 			s.m.mu.Unlock()
 		} else {
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 			if errors.Is(r.err, errIntegrityAudit) {
 				// The abandoned result was never served, so the corruption is
 				// trivially recovered — but it still counts against the
@@ -650,12 +651,13 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 	if w.quarantined.Load() {
 		return shed(DegradedByQuarantine)
 	}
-	allowed, probe := w.breaker.Allow()
+	ticket, allowed := w.breaker.Allow()
 	if !allowed {
 		return shed(DegradedByBreaker)
 	}
 
 	maxAttempts := 1 + s.rcfg.RetryMax
+	probe := ticket.Probe()
 	if probe {
 		// The half-open probe gets exactly one shot: its outcome decides
 		// the breaker, and burning retries on a likely-broken backend
@@ -668,9 +670,9 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			oc.quarantined = true
 			return shed(DegradedByQuarantine)
 		}
-		rep, err := s.attempt(w, inputs, opts, mode)
+		rep, err := s.attempt(w, ticket, inputs, opts, mode)
 		if err == nil {
-			w.breaker.Success()
+			w.breaker.Success(ticket)
 			s.retryBudget.Earn(1)
 			s.hedgeBudget.Earn(1)
 			return rep, oc, nil
@@ -685,7 +687,7 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			return shed(DegradedByHedge)
 		case errors.Is(err, errWedged):
 			oc.wedges++
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 			if !s.restartBackend(w) {
 				oc.quarantined = true
 				return shed(DegradedByQuarantine)
@@ -696,7 +698,7 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 		case errors.Is(err, resilience.ErrWorkerPanic):
 			oc.panics++
 			w.panics.Add(1)
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 			var pe *resilience.PanicError
 			if errors.As(err, &pe) {
 				s.recordPanic(w.id, pe)
@@ -712,17 +714,17 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			// a transient flip clears, failing hardware repeats until it
 			// exhausts the allowance.
 			oc.sdcAudits++
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 			if !s.noteWorkerSDC(w, 1) {
 				oc.quarantined = true
 				return shed(DegradedByQuarantine)
 			}
 		case resilience.Transient(err):
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 		default:
 			// Permanent error: a typed rejection is the honest answer, and
 			// retrying cannot change it.
-			w.breaker.Failure()
+			w.breaker.Failure(ticket)
 			return nil, oc, err
 		}
 
