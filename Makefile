@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./...
 
 race-serve:
 	$(GO) vet ./...

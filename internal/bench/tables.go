@@ -203,11 +203,7 @@ func Ablations(p Params) (*report.Table, []AblationRow, error) {
 			return sphere.MustNew(sphere.Config{Const: cons(), Strategy: sphere.FSD})
 		}},
 		{"RVD (real-valued, 2M levels)", func() decoder.Decoder {
-			d, err := sphere.NewRVD(cons())
-			if err != nil {
-				panic(err)
-			}
-			return d
+			return sphere.MustNew(sphere.Config{Const: cons(), Strategy: sphere.RealSE})
 		}},
 		{"SortedDFS + Babai radius", func() decoder.Decoder {
 			return sphere.MustNew(sphere.Config{Const: cons(), Strategy: sphere.SortedDFS, BabaiRadius: true})

@@ -435,178 +435,247 @@ func (a *Accelerator) CheckPolicy(p DecodePolicy) error {
 // budget/precision, WithBudget bounds the whole batch, WithFallback skips
 // the tree search entirely, WithTrace records per-frame search traces and
 // phase spans. With no options this is the plain exhaustive batch decode.
+//
+// Every mode runs the same frame loop (see frameLoop). Overrunning batches
+// are cut at the budget, never late: the report always covers every input,
+// with cut or shed frames flagged via Result.Quality and counted in
+// QualityCounts.
 func (a *Accelerator) DecodeBatch(inputs []BatchInput, opts ...BatchOption) (*BatchReport, error) {
 	var o batchConfig
 	for _, opt := range opts {
 		opt(&o)
 	}
-	sd := a.sd
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", ErrInvalidInput)
+	}
+	if o.budget.Deadline < 0 {
+		return nil, fmt.Errorf("%w: negative batch deadline %v", ErrInvalidInput, o.budget.Deadline)
+	}
+	if o.budget.NodeBudget < 0 {
+		return nil, fmt.Errorf("%w: negative node budget %d", ErrInvalidInput, o.budget.NodeBudget)
+	}
+	l := &frameLoop{a: a, sd: a.sd, inputs: inputs, deadline: o.budget.Deadline, bt: o.bt}
 	if o.policy != nil {
 		p := *o.policy
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
 		if p.Linear {
-			return a.decodeBatchFallback(inputs, o.bt, o.shedReason)
+			// A linear batch is one shed from its first frame.
+			l.shedBy = o.shedReason
+		} else {
+			var err error
+			if l.sd, err = a.sdFor(p); err != nil {
+				return nil, fmt.Errorf("%w: policy %q: %v", ErrInvalidInput, p.String(), err)
+			}
 		}
-		var err error
-		if sd, err = a.sdFor(p); err != nil {
-			return nil, fmt.Errorf("%w: policy %q: %v", ErrInvalidInput, p.String(), err)
-		}
-	}
-	return a.decodeBatchBudget(inputs, &o, sd)
-}
-
-// DecodeBatchBudget is DecodeBatch under a batch-level budget.
-//
-// Deprecated: use DecodeBatch(inputs, WithBudget(budget)).
-func (a *Accelerator) DecodeBatchBudget(inputs []BatchInput, budget BatchBudget) (*BatchReport, error) {
-	return a.DecodeBatch(inputs, WithBudget(budget))
-}
-
-// decodeBatchBudget is the searching batch path, running every frame through
-// sd (the base decoder, or a policy-derived one). Overrunning batches are cut
-// at the budget, never late: the report always covers every input, with cut
-// or shed frames flagged via Result.Quality and counted in QualityCounts.
-func (a *Accelerator) decodeBatchBudget(inputs []BatchInput, o *batchConfig, sd *sphere.SD) (*BatchReport, error) {
-	budget := o.budget
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrInvalidInput)
-	}
-	if budget.Deadline < 0 {
-		return nil, fmt.Errorf("%w: negative batch deadline %v", ErrInvalidInput, budget.Deadline)
-	}
-	if budget.NodeBudget < 0 {
-		return nil, fmt.Errorf("%w: negative node budget %d", ErrInvalidInput, budget.NodeBudget)
 	}
 	for i, in := range inputs {
 		if err := a.validateInput(i, in); err != nil {
 			return nil, err
 		}
 	}
-	// Factor each distinct channel once for the whole batch. charge[i]
-	// carries the QR flop cost on the first frame that uses each handle, so
-	// aggregate counters are deterministic regardless of cross-batch cache
-	// warmth or decode order.
+	// Factor each distinct channel once for the whole batch. The QR flop
+	// cost is charged on the first frame that uses each handle, so aggregate
+	// counters are deterministic regardless of cross-batch cache warmth or
+	// decode order.
 	preStart := time.Now()
-	pres, charge, err := a.preprocessBatch(inputs)
-	if err != nil {
+	var err error
+	if l.pres, err = a.preprocessBatch(inputs); err != nil {
 		return nil, err
 	}
-	if o.bt != nil {
-		o.bt.AddPhase("preprocess", preStart, time.Now())
-		o.bt.Frames = make([]*trace.SearchTrace, len(inputs))
+	if l.bt != nil {
+		l.bt.AddPhase("preprocess", preStart, time.Now())
+		l.bt.Frames = make([]*trace.SearchTrace, len(inputs))
 	}
-	if a.workers > 1 && len(inputs) > 1 && budget.Deadline == 0 && o.bt == nil {
-		return a.decodeBatchParallel(inputs, pres, charge, budget, sd)
+	if o.budget.NodeBudget > 0 {
+		l.pooled = true
+		l.nodesLeft.Store(o.budget.NodeBudget)
 	}
-	w := decoder.Workload{M: a.design.M, N: a.design.N, P: a.cons.Size()}
-	rep := &BatchReport{Results: make([]*decoder.Result, 0, len(inputs))}
+	workers := min(a.workers, len(inputs))
+	if l.deadline > 0 {
+		// The modeled-time deadline re-prices the batch after every frame.
+		workers = 1
+	}
 	searchStart := time.Now()
-	shedBy := "" // non-empty once the batch budget is spent
-	for i, in := range inputs {
-		var ft *trace.SearchTrace
-		if o.bt != nil {
-			ft = trace.NewSearchTrace()
-			o.bt.Frames[i] = ft
-		}
-		var res *decoder.Result
-		var err error
-		switch {
-		case shedBy != "":
-			res, err = sd.DecodeFallbackPre(pres[i], in.Y, in.NoiseVar, charge[i])
-			if res != nil {
-				res.DegradedBy = shedBy
-			}
-			if ft != nil {
-				ft.SearchStart(a.design.M, a.cons.Size(), 0)
-				ft.Degraded(shedBy)
-				ft.SearchEnd(0, 0)
-			}
-		case budget.NodeBudget > 0:
-			// Search with whatever the earlier frames left over.
-			remaining := budget.NodeBudget - rep.Counters.NodesExpanded
-			if remaining <= 0 {
-				shedBy = decoder.DegradedByBudget
-				res, err = sd.DecodeFallbackPre(pres[i], in.Y, in.NoiseVar, charge[i])
-				if res != nil {
-					res.DegradedBy = shedBy
-				}
-				if ft != nil {
-					ft.SearchStart(a.design.M, a.cons.Size(), 0)
-					ft.Degraded(shedBy)
-					ft.SearchEnd(0, 0)
-				}
-				break
-			}
-			cfg := sd.Config()
-			// The batch pool caps whatever per-frame budget the policy set.
-			if remaining < cfg.MaxNodes {
-				cfg.MaxNodes = remaining
-			}
-			cfg.HardBudget = false
-			if ft != nil {
-				cfg.Recorder = ft
-			}
-			var fsd *sphere.SD
-			if fsd, err = sphere.New(cfg); err == nil {
-				res, err = fsd.DecodePre(pres[i], in.Y, in.NoiseVar, charge[i])
-			}
-		case ft != nil:
-			// A recorder is per-frame state, so the traced path builds a
-			// dedicated decoder instead of touching the shared one (which
-			// other goroutines may be using concurrently).
-			cfg := sd.Config()
-			cfg.Recorder = ft
-			var fsd *sphere.SD
-			if fsd, err = sphere.New(cfg); err == nil {
-				res, err = fsd.DecodePre(pres[i], in.Y, in.NoiseVar, charge[i])
-			}
-		default:
-			res, err = sd.DecodePre(pres[i], in.Y, in.NoiseVar, charge[i])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: batch element %d: %w", i, err)
-		}
-		rep.Results = append(rep.Results, res)
-		rep.Counters.Add(res.Counters)
-		if shedBy == "" && budget.Deadline > 0 {
-			// Re-price the work done so far through the pipeline model; once
-			// the modeled time reaches the deadline, shed the rest.
-			w.Frames = i + 1
-			dur, _, err := a.design.BatchTime(w, rep.Counters)
-			if err != nil {
-				return nil, err
-			}
-			if dur >= budget.Deadline {
-				shedBy = decoder.DegradedByBatchDeadline
-			}
-		}
+	l.results = make([]*decoder.Result, len(inputs))
+	if err := l.run(workers); err != nil {
+		return nil, err
 	}
-	if o.bt != nil {
-		o.bt.AddPhase("search", searchStart, time.Now())
+	if l.bt != nil {
+		l.bt.AddPhase("search", searchStart, time.Now())
+	}
+	rep := &BatchReport{Results: l.results}
+	for _, res := range l.results {
+		rep.Counters.Add(res.Counters)
 	}
 	return a.finishReport(rep, len(inputs))
 }
 
+// frameLoop is the one batch frame loop: workers pull frame indices from a
+// shared counter and decode each frame against the batch's preprocessed
+// handles through one shared decoder. Serial is workers = 1, run on the
+// calling goroutine. Under a NodeBudget the workers draw from one atomic
+// node pool: each frame searches with what is left and pays its expansions
+// back, so the batch total honours the budget to within the overshoot of
+// the frames in flight when it empties. Off-budget, results are bit-exact
+// across worker counts (each frame's search is independent).
+//
+// Shedding is a rung of the same loop: once the pool or the modeled-time
+// deadline runs out, each remaining frame gets the linear fallback decision
+// tagged with the shed reason. A linear batch starts shed at frame 0.
+type frameLoop struct {
+	a      *Accelerator
+	sd     *sphere.SD
+	inputs []BatchInput
+	pres   []prepared
+	bt     *trace.BatchTrace
+
+	// shedBy, when non-empty, sheds every frame not yet decoded. It is set
+	// up front for a linear batch and by the deadline check, which only runs
+	// with one worker.
+	shedBy string
+	// deadline bounds the batch's modeled FPGA time; done accumulates the
+	// searched frames' counters for the re-pricing. No frame searches after
+	// the first shed one, so done covers every frame decoded so far.
+	deadline time.Duration
+	done     decoder.Counters
+
+	pooled  bool // a NodeBudget pool is in force
+	results []*decoder.Result
+
+	errMu sync.Mutex
+	err   error
+	errAt int
+
+	// The counters every worker writes sit last, off the cache lines of the
+	// fields every frame reads.
+	nodesLeft atomic.Int64
+	next      atomic.Int64
+}
+
+// run drives the loop on the given number of workers and returns the error
+// of the lowest failing frame.
+func (l *frameLoop) run(workers int) error {
+	if workers <= 1 {
+		l.work()
+		return l.err
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.work()
+		}()
+	}
+	wg.Wait()
+	return l.err
+}
+
+// work decodes frames until the batch is exhausted or a frame fails.
+func (l *frameLoop) work() {
+	for {
+		i := int(l.next.Add(1)) - 1
+		if i >= len(l.inputs) {
+			return
+		}
+		if err := l.frame(i); err != nil {
+			l.fail(i, err)
+			return
+		}
+	}
+}
+
+// frame decodes input i: a search under the pool's remaining nodes, or the
+// fallback decision once the batch is shed.
+func (l *frameLoop) frame(i int) error {
+	in, p := l.inputs[i], l.pres[i]
+	var lim sphere.Limits
+	var ft *trace.SearchTrace
+	if l.bt != nil {
+		ft = trace.NewSearchTrace()
+		l.bt.Frames[i] = ft
+		lim.Recorder = ft
+	}
+	shedBy := l.shedBy
+	if shedBy == "" && l.pooled {
+		// The batch pool caps whatever per-frame budget the policy set.
+		if lim.MaxNodes = l.nodesLeft.Load(); lim.MaxNodes <= 0 {
+			shedBy = decoder.DegradedByBudget
+		}
+	}
+	if shedBy != "" {
+		res, err := l.sd.DecodeFallbackPre(p.pre, in.Y, in.NoiseVar, p.charge)
+		if err != nil {
+			return fmt.Errorf("core: batch element %d: %w", i, err)
+		}
+		res.DegradedBy = shedBy
+		if ft != nil {
+			ft.SearchStart(l.a.design.M, l.a.cons.Size(), 0)
+			ft.Degraded(shedBy)
+			ft.SearchEnd(0, 0)
+		}
+		l.results[i] = res
+		return nil
+	}
+	res, err := l.sd.DecodePreLimited(p.pre, in.Y, in.NoiseVar, p.charge, lim)
+	if err != nil {
+		return fmt.Errorf("core: batch element %d: %w", i, err)
+	}
+	l.results[i] = res
+	if l.pooled {
+		l.nodesLeft.Add(-res.Counters.NodesExpanded)
+	}
+	if l.deadline > 0 {
+		// Serial: re-price the work done so far through the pipeline model;
+		// once the modeled time reaches the deadline, shed the rest.
+		l.done.Add(res.Counters)
+		w := decoder.Workload{M: l.a.design.M, N: l.a.design.N, P: l.a.cons.Size(), Frames: i + 1}
+		dur, _, err := l.a.design.BatchTime(w, l.done)
+		if err != nil {
+			return err
+		}
+		if dur >= l.deadline {
+			l.shedBy = decoder.DegradedByBatchDeadline
+		}
+	}
+	return nil
+}
+
+// fail records frame i's error, keeping the lowest failing index.
+func (l *frameLoop) fail(i int, err error) {
+	l.errMu.Lock()
+	if l.err == nil || i < l.errAt {
+		l.err, l.errAt = err, i
+	}
+	l.errMu.Unlock()
+}
+
+// prepared is one frame's preprocessed channel and the QR flops its decode
+// charges.
+type prepared struct {
+	pre    *sphere.Preprocessed
+	charge int64
+}
+
 // preprocessBatch resolves every input's channel to a Preprocessed handle.
 // With QR reuse on, frames sharing a channel (by pointer or by content)
-// share one factorization; charge[i] is pres[i].Flops on the first frame
-// using each distinct handle and 0 after, so the batch trace charges each
-// QR exactly once. With reuse off, every frame gets its own factorization
-// and full charge — the seed accounting.
-func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]*sphere.Preprocessed, []int64, error) {
-	pres := make([]*sphere.Preprocessed, len(inputs))
-	charge := make([]int64, len(inputs))
+// share one factorization; the charge is the handle's Flops on the first
+// frame using each distinct handle and 0 after, so the batch trace charges
+// each QR exactly once. With reuse off, every frame gets its own
+// factorization and full charge — the seed accounting.
+func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]prepared, error) {
+	pres := make([]prepared, len(inputs))
 	if !a.reuseQR {
 		for i, in := range inputs {
 			p, err := sphere.Preprocess(in.H)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
+				return nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
 			}
-			pres[i], charge[i] = p, p.Flops
+			pres[i] = prepared{p, p.Flops}
 		}
-		return pres, charge, nil
+		return pres, nil
 	}
 	cache := a.cache
 	if cache == nil {
@@ -621,89 +690,17 @@ func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]*sphere.Preprocess
 			var err error
 			p, err = cache.Get(in.H)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
+				return nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
 			}
 			byPtr[in.H] = p
 		}
-		pres[i] = p
+		pres[i].pre = p
 		if !seen[p] {
 			seen[p] = true
-			charge[i] = p.Flops
+			pres[i].charge = p.Flops
 		}
 	}
-	return pres, charge, nil
-}
-
-// decodeBatchParallel fans a batch over the worker pool. Results land in
-// input order and, without a budget, are bit-exact with the serial path
-// (each frame's search is independent). Under a NodeBudget the workers
-// share one atomic node pool: each frame searches with a snapshot of what
-// is left and pays its expansions back, so the batch total honours the
-// budget to within the overshoot of the frames in flight when it empties —
-// the same anytime contract, with scheduling-dependent (but always
-// flagged) shed boundaries.
-func (a *Accelerator) decodeBatchParallel(inputs []BatchInput, pres []*sphere.Preprocessed, charge []int64, budget BatchBudget, sd *sphere.SD) (*BatchReport, error) {
-	workers := a.workers
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	results := make([]*decoder.Result, len(inputs))
-	errs := make([]error, len(inputs))
-	var nodesLeft atomic.Int64
-	useNodes := budget.NodeBudget > 0
-	if useNodes {
-		nodesLeft.Store(budget.NodeBudget)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(inputs) {
-					return
-				}
-				in := inputs[i]
-				var res *decoder.Result
-				var err error
-				switch {
-				case !useNodes:
-					res, err = sd.DecodePre(pres[i], in.Y, in.NoiseVar, charge[i])
-				case nodesLeft.Load() <= 0:
-					res, err = sd.DecodeFallbackPre(pres[i], in.Y, in.NoiseVar, charge[i])
-					if res != nil {
-						res.DegradedBy = decoder.DegradedByBudget
-					}
-				default:
-					cfg := sd.Config()
-					if remaining := nodesLeft.Load(); remaining < cfg.MaxNodes {
-						cfg.MaxNodes = remaining
-					}
-					cfg.HardBudget = false
-					var fsd *sphere.SD
-					if fsd, err = sphere.New(cfg); err == nil {
-						res, err = fsd.DecodePre(pres[i], in.Y, in.NoiseVar, charge[i])
-					}
-					if res != nil {
-						nodesLeft.Add(-res.Counters.NodesExpanded)
-					}
-				}
-				results[i] = res
-				errs[i] = err
-			}
-		}()
-	}
-	wg.Wait()
-	rep := &BatchReport{Results: results}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: batch element %d: %w", i, err)
-		}
-		rep.Counters.Add(results[i].Counters)
-	}
-	return a.finishReport(rep, len(inputs))
+	return pres, nil
 }
 
 // finishReport prices the aggregated batch trace through the pipeline model
@@ -732,55 +729,6 @@ func (a *Accelerator) DecodeFallback(in BatchInput) (*decoder.Result, error) {
 		return nil, err
 	}
 	return a.sd.DecodeFallback(in.H, in.Y, in.NoiseVar)
-}
-
-// DecodeBatchFallback decodes a whole batch with the linear fallback
-// detector.
-//
-// Deprecated: use DecodeBatch(inputs, WithFallback()).
-func (a *Accelerator) DecodeBatchFallback(inputs []BatchInput) (*BatchReport, error) {
-	return a.DecodeBatch(inputs, WithFallback())
-}
-
-// decodeBatchFallback decodes a whole batch with the linear fallback
-// detector and prices it through the pipeline model — the cost a deployment
-// pays for a batch it chose to shed entirely. reason is the DegradedBy tag
-// ("overload" for a queue shed, "policy" for an explicit linear policy).
-func (a *Accelerator) decodeBatchFallback(inputs []BatchInput, bt *trace.BatchTrace, reason string) (*BatchReport, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrInvalidInput)
-	}
-	if reason == "" {
-		reason = decoder.DegradedByOverload
-	}
-	if bt != nil {
-		bt.Frames = make([]*trace.SearchTrace, len(inputs))
-	}
-	searchStart := time.Now()
-	rep := &BatchReport{Results: make([]*decoder.Result, 0, len(inputs))}
-	for i, in := range inputs {
-		if err := a.validateInput(i, in); err != nil {
-			return nil, err
-		}
-		res, err := a.sd.DecodeFallback(in.H, in.Y, in.NoiseVar)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch element %d: %w", i, err)
-		}
-		res.DegradedBy = reason
-		rep.Results = append(rep.Results, res)
-		rep.Counters.Add(res.Counters)
-		if bt != nil {
-			ft := trace.NewSearchTrace()
-			ft.SearchStart(a.design.M, a.cons.Size(), 0)
-			ft.Degraded(reason)
-			ft.SearchEnd(0, 0)
-			bt.Frames[i] = ft
-		}
-	}
-	if bt != nil {
-		bt.AddPhase("search", searchStart, time.Now())
-	}
-	return a.finishReport(rep, len(inputs))
 }
 
 // MeetsRealTime reports whether the simulated batch time satisfies the
@@ -828,15 +776,8 @@ func (a *Accelerator) DecodeBatchSoft(inputs []BatchInput, listSize int) (*SoftB
 		rep.LLRs = append(rep.LLRs, res.LLR)
 		rep.Counters.Add(res.Counters)
 	}
-	w := decoder.Workload{M: a.design.M, N: a.design.N, P: a.cons.Size(), Frames: len(inputs)}
-	dur, breakdown, err := a.design.BatchTime(w, rep.Counters)
-	if err != nil {
+	if _, err := a.finishReport(&rep.BatchReport, len(inputs)); err != nil {
 		return nil, err
 	}
-	rep.SimulatedTime = dur
-	rep.Breakdown = breakdown
-	rep.PowerW = a.design.Power()
-	rep.EnergyJ = a.design.Energy(dur.Seconds())
-	rep.tallyQuality()
 	return rep, nil
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/constellation"
 	"repro/internal/fpga"
 	"repro/internal/mimo"
 	"repro/internal/rng"
+	"repro/internal/sphere"
+	"repro/internal/trace"
 )
 
 // repeatedChannelBatch builds a batch whose frames all share one channel
@@ -253,5 +258,82 @@ func TestWorkersOption(t *testing.T) {
 	one := MustNew(fpga.Optimized, cfg.Mod, cfg.Tx, cfg.Rx, Options{})
 	if one.workers != 1 {
 		t.Fatalf("default Workers resolved to %d", one.workers)
+	}
+}
+
+// minAllocs is testing.AllocsPerRun's best of three attempts, so a GC that
+// empties the search pool mid-measurement does not count against the path.
+func minAllocs(f func()) float64 {
+	best := math.Inf(1)
+	for range 3 {
+		best = min(best, testing.AllocsPerRun(20, f))
+	}
+	return best
+}
+
+// TestBatchAllocParity: a budget or a trace changes how long the frame loop
+// runs, not what it allocates. Under a node budget or a modeled-time
+// deadline that never binds, and with tracing minus the trace objects
+// themselves, a 32-frame batch allocates exactly what the plain batch does.
+func TestBatchAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const frames = 32
+	cfg := mimo.Config{Tx: 4, Rx: 4, Mod: constellation.QAM4}
+	inputs, _ := batchFor(t, cfg, 10, frames, 407)
+	for _, st := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE} {
+		a := MustNew(fpga.Optimized, cfg.Mod, cfg.Tx, cfg.Rx, Options{Strategy: st})
+		decode := func(opts ...BatchOption) func() {
+			return func() {
+				if _, err := a.DecodeBatch(inputs, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		decode()() // warm the QR cache
+		plain := minAllocs(decode())
+		for _, mode := range []struct {
+			name string
+			opt  BatchOption
+		}{
+			{"node-budget", WithBudget(BatchBudget{NodeBudget: math.MaxInt64 / 2})},
+			{"deadline", WithBudget(BatchBudget{Deadline: time.Hour})},
+		} {
+			if got := minAllocs(decode(mode.opt)); got != plain {
+				t.Errorf("%v %s: %.2f allocs/frame, plain %.2f", st, mode.name, got/frames, plain/frames)
+			}
+		}
+
+		// The traced batch's own trace objects: the batch trace with its two
+		// phase spans and frame slice, and one SearchTrace per frame replayed
+		// through the same recorder calls that allocate.
+		ref := trace.NewBatchTrace()
+		if _, err := a.DecodeBatch(inputs, WithTrace(ref)); err != nil {
+			t.Fatal(err)
+		}
+		traceObjects := minAllocs(func() {
+			bt := trace.NewBatchTrace()
+			bt.AddPhase("preprocess", time.Time{}, time.Time{})
+			bt.Frames = make([]*trace.SearchTrace, frames)
+			for i, rf := range ref.Frames {
+				ft := trace.NewSearchTrace()
+				ft.SearchStart(rf.M, rf.Alphabet, rf.InitialRadiusSq)
+				for _, p := range rf.Radius {
+					ft.RadiusUpdate(p.RadiusSq)
+				}
+				bt.Frames[i] = ft
+			}
+			bt.AddPhase("search", time.Time{}, time.Time{})
+		})
+		traced := minAllocs(func() {
+			if _, err := a.DecodeBatch(inputs, WithTrace(trace.NewBatchTrace())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := traced - traceObjects; got != plain {
+			t.Errorf("%v traced: %.2f allocs/frame beyond its trace objects, plain %.2f", st, got/frames, plain/frames)
+		}
+		t.Logf("%v: %.2f allocs/frame", st, plain/frames)
 	}
 }

@@ -58,10 +58,10 @@ func WithFallback() BatchOption {
 }
 
 // WithTrace records the batch into bt: per-frame SearchTraces (in input
-// order) plus preprocess/search phase spans under bt's batch span. Tracing
-// forces the serial decode path — recorders are per-frame, and serializing
-// is what makes the per-level tallies attributable — so it is a diagnostic
-// mode, not a throughput mode. A nil bt is ignored.
+// order) plus preprocess/search phase spans under bt's batch span. Each
+// frame's recorder travels with its own decode call, so a traced batch runs
+// on the same workers and yields the same decisions as an untraced one. A
+// nil bt is ignored.
 func WithTrace(bt *trace.BatchTrace) BatchOption {
 	return func(c *batchConfig) { c.bt = bt }
 }

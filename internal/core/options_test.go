@@ -1,52 +1,146 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/constellation"
 	"repro/internal/decoder"
 	"repro/internal/fpga"
+	"repro/internal/sphere"
 	"repro/internal/trace"
 )
 
-// TestDecodeBatchOptionEquivalence: the variadic surface with no options and
-// the deprecated wrappers must produce the results of the methods they
-// replaced.
-func TestDecodeBatchOptionEquivalence(t *testing.T) {
-	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{Workers: 1})
-	inputs, _ := batchFor(t, cfg4(), 8, 6, 91)
-
-	plain, err := acc.DecodeBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
+// sameReport fails unless two batch reports are bit-identical: every
+// frame's decision, metric, quality and counters, the aggregate counters and
+// the modeled time.
+func sameReport(t *testing.T, what string, got, want *BatchReport) {
+	t.Helper()
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: %d vs %d results", what, len(got.Results), len(want.Results))
 	}
-	viaOld, err := acc.DecodeBatchBudget(inputs, BatchBudget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Counters != viaOld.Counters {
-		t.Fatal("deprecated DecodeBatchBudget wrapper diverged from DecodeBatch")
-	}
-	for i := range plain.Results {
-		if plain.Results[i].Metric != viaOld.Results[i].Metric {
-			t.Fatalf("frame %d metric differs across surfaces", i)
+	for i, g := range got.Results {
+		w := want.Results[i]
+		if math.Float64bits(g.Metric) != math.Float64bits(w.Metric) || g.Counters != w.Counters ||
+			g.Quality != w.Quality || g.DegradedBy != w.DegradedBy || !slices.Equal(g.SymbolIdx, w.SymbolIdx) {
+			t.Fatalf("%s: frame %d differs:\n got %+v\nwant %+v", what, i, g, w)
 		}
 	}
+	if got.Counters != want.Counters || got.SimulatedTime != want.SimulatedTime {
+		t.Fatalf("%s: aggregate differs: %v %+v vs %v %+v", what,
+			got.SimulatedTime, got.Counters, want.SimulatedTime, want.Counters)
+	}
+}
 
-	fbNew, err := acc.DecodeBatch(inputs, WithFallback())
+// TestDecodeBatchOptionEquivalence runs every batch mode through the one
+// frame loop at 1 and 4 workers. Off-budget, parallel is bit-exact with
+// serial (and the modeled-time deadline always runs serially, so it is too);
+// a node budget is honoured within the overshoot of the frames in flight
+// when the pool empties; traces match the counters frame by frame; and
+// every degraded frame carries its mode's DegradedBy tag.
+func TestDecodeBatchOptionEquivalence(t *testing.T) {
+	inputs, _ := batchFor(t, cfg4(), 6, 12, 91)
+	accs := map[int]*Accelerator{}
+	for _, w := range []int{1, 4} {
+		accs[w] = MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{Workers: w})
+	}
+	plain, err := accs[1].DecodeBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbOld, err := acc.DecodeBatchFallback(inputs)
-	if err != nil {
-		t.Fatal(err)
+	if plain.Degraded {
+		t.Fatal("premise: the plain batch degraded")
 	}
-	if fbNew.Counters != fbOld.Counters {
-		t.Fatal("deprecated DecodeBatchFallback wrapper diverged")
+	budget := plain.Counters.NodesExpanded / 3
+	rows := []struct {
+		name string
+		opts []BatchOption
+		// shedBy is the DegradedBy tag every degraded frame must carry; ""
+		// means no frame may degrade. allShed means every frame is linear.
+		shedBy     string
+		allShed    bool
+		binding    bool // a node budget that cuts: parallel may differ
+		asPlain    bool // must equal the plain batch bit for bit
+		wantTraces bool
+	}{
+		{name: "plain", asPlain: true},
+		{name: "node-budget", opts: []BatchOption{WithBudget(BatchBudget{NodeBudget: budget})},
+			shedBy: decoder.DegradedByBudget, binding: true},
+		{name: "deadline", opts: []BatchOption{WithBudget(BatchBudget{Deadline: plain.SimulatedTime / 3})},
+			shedBy: decoder.DegradedByBatchDeadline},
+		{name: "trace", asPlain: true, wantTraces: true},
+		{name: "rvd-se", opts: []BatchOption{WithPolicy(DecodePolicy{Strategy: sphere.RealSE})}},
+		{name: "linear", opts: []BatchOption{WithPolicy(DecodePolicy{Linear: true})},
+			shedBy: decoder.DegradedByPolicy, allShed: true},
+		{name: "fallback", opts: []BatchOption{WithFallback()},
+			shedBy: decoder.DegradedByOverload, allShed: true},
 	}
-	for _, res := range fbNew.Results {
-		if res.Quality != decoder.QualityFallback {
-			t.Fatalf("fallback batch produced quality %v", res.Quality)
+	for _, row := range rows {
+		var serial *BatchReport
+		for _, w := range []int{1, 4} {
+			what := fmt.Sprintf("%s/workers=%d", row.name, w)
+			opts := row.opts
+			var bt *trace.BatchTrace
+			if row.wantTraces {
+				bt = trace.NewBatchTrace()
+				opts = append(opts[:len(opts):len(opts)], WithTrace(bt))
+			}
+			rep, err := accs[w].DecodeBatch(inputs, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if w == 1 {
+				serial = rep
+			}
+			switch {
+			case row.asPlain:
+				sameReport(t, what, rep, plain)
+			case !row.binding:
+				sameReport(t, what, rep, serial)
+			}
+			degraded := 0
+			for i, res := range rep.Results {
+				if res.Quality.Degraded() {
+					degraded++
+					if res.DegradedBy != row.shedBy || row.shedBy == "" {
+						t.Fatalf("%s: frame %d degraded by %q, want %q", what, i, res.DegradedBy, row.shedBy)
+					}
+				}
+				if row.allShed && res.Quality != decoder.QualityFallback {
+					t.Fatalf("%s: frame %d quality %v, want fallback", what, i, res.Quality)
+				}
+			}
+			if row.shedBy != "" && degraded == 0 {
+				t.Fatalf("%s: premise: nothing degraded", what)
+			}
+			if row.binding {
+				// Serial never overspends. In parallel each frame searches
+				// with a snapshot of the pool, so the overshoot is at most
+				// what the frames in flight when it emptied spent.
+				limit := budget
+				if w > 1 {
+					spends := make([]int64, len(rep.Results))
+					for i, res := range rep.Results {
+						spends[i] = res.Counters.NodesExpanded
+					}
+					slices.Sort(spends)
+					for _, s := range spends[len(spends)-w:] {
+						limit += s
+					}
+				}
+				if rep.Counters.NodesExpanded > limit {
+					t.Fatalf("%s: spent %d nodes on a %d budget (limit %d)", what, rep.Counters.NodesExpanded, budget, limit)
+				}
+			}
+			if bt != nil {
+				for i, ft := range bt.Frames {
+					if got, want := ft.NodesVisited(), rep.Results[i].Counters.NodesExpanded; got != want {
+						t.Fatalf("%s: frame %d: trace visits %d, counters %d", what, i, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -137,25 +137,49 @@ func TestStallAccounting(t *testing.T) {
 	}
 }
 
-func TestUtilizationBounded(t *testing.T) {
-	f := func(ii1, ii2, lat1, lat2, tokens uint8) bool {
-		stages := []StageSpec{
-			{Name: "a", II: int(ii1%5) + 1, Latency: int(lat1 % 8)},
-			{Name: "b", II: int(ii2%5) + 1, Latency: int(lat2 % 8)},
-		}
-		res, err := Simulate(stages, []Job{{Tokens: int(tokens%40) + 1}})
-		if err != nil {
+// utilizationBounded is the TestUtilizationBounded property: every stage's
+// utilization lies in [0, 1], and the run takes time exactly when something
+// in it does. A zero-latency stage is combinational, so a single token
+// through only such stages leaves in cycle 0; any registered stage
+// (Latency > 0) or a second token (issued an II later) makes TotalCycles
+// positive.
+func utilizationBounded(ii1, ii2, lat1, lat2, tokens uint8) bool {
+	stages := []StageSpec{
+		{Name: "a", II: int(ii1%5) + 1, Latency: int(lat1 % 8)},
+		{Name: "b", II: int(ii2%5) + 1, Latency: int(lat2 % 8)},
+	}
+	n := int(tokens%40) + 1
+	res, err := Simulate(stages, []Job{{Tokens: n}})
+	if err != nil {
+		return false
+	}
+	for _, u := range res.Utilization() {
+		if u < 0 || u > 1.000001 {
 			return false
 		}
-		for _, u := range res.Utilization() {
-			if u < 0 || u > 1.000001 {
-				return false
-			}
-		}
-		return res.TotalCycles > 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	takesTime := stages[0].Latency > 0 || stages[1].Latency > 0 || n > 1
+	return (res.TotalCycles > 0) == takesTime
+}
+
+func TestUtilizationBounded(t *testing.T) {
+	if err := quick.Check(utilizationBounded, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUtilizationBoundedCombinationalToken pins the draw that used to fail
+// the property: one token through two zero-latency stages takes 0 cycles.
+func TestUtilizationBoundedCombinationalToken(t *testing.T) {
+	if !utilizationBounded(0x3, 0x17, 0x70, 0x50, 0x78) {
+		t.Fatal("one token through two combinational stages")
+	}
+	res, err := Simulate([]StageSpec{{Name: "a", II: 4}, {Name: "b", II: 4}}, []Job{{Tokens: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalCycles != 0 {
+		t.Fatalf("one combinational token took %d cycles", res.TotalCycles)
 	}
 }
 

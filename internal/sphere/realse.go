@@ -1,8 +1,6 @@
 package sphere
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -26,14 +24,14 @@ import (
 
 // acquireRealSearch checks a search out of the pool, sized for the real
 // reduced system: tree height rp.Dim (= 2M), branching len(pam).
-func acquireRealSearch(cfg *Config, rp *RealPre, pam []float64) *search {
+func acquireRealSearch(cfg *Config, rp *RealPre, pam []float64, lim Limits) *search {
 	s := searchPool.Get().(*search)
 	dim := rp.Dim
 	s.cfg, s.m, s.p = cfg, dim, len(pam)
 	s.r, s.ybar, s.pts = nil, nil, nil
 	s.pam = pam
 	s.rr = rp.R
-	s.rec = cfg.Recorder
+	s.setLimits(cfg, lim)
 	if s.mst == nil {
 		s.mst = NewMST(dim)
 	}
@@ -225,13 +223,13 @@ func (s *search) runRealSE() error {
 // rotation offset equals the complex-domain ‖y − Hs‖² (the embedding is an
 // isometry), while under NormLInf the metric is the reduced-domain max —
 // an ℓ∞ ball does not survive the orthogonal rotation, so no offset exists.
-func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, wantInfo bool, res *decoder.Result, start time.Time) (*SearchInfo, error) {
+func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, lim Limits, wantInfo bool, res *decoder.Result, start time.Time) (*SearchInfo, error) {
 	rp := pre.Real()
 	var deadline time.Time
 	if d.cfg.Deadline > 0 {
 		deadline = start.Add(d.cfg.Deadline)
 	}
-	st := acquireRealSearch(&d.cfg, rp, d.pam)
+	st := acquireRealSearch(&d.cfg, rp, d.pam, lim)
 	rybar := st.computeRealYbar(pre.F, y)
 	// ‖y − Hs‖² = ‖ȳr − Rr·sr‖² + offset; offset = ‖yr‖² − ‖ȳr‖² ≥ 0, and
 	// ‖yr‖² = ‖y‖² (the embedding is an isometry).
@@ -270,41 +268,10 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 		info = &SearchInfo{PreprocessFlops: preFlops}
 	}
 
-	retries := 0
-	truncated := false
-	st.beginAttempt(radius, deadline)
-	st.counters.OtherFlops += preFlops
-	st.counters.RegularLoads += 4 * n * m
-	for {
-		if err := st.run(); err != nil {
-			if (errors.Is(err, ErrBudget) || errors.Is(err, ErrDeadline)) && !d.cfg.HardBudget {
-				truncated = true
-				break
-			}
-			st.release()
-			return nil, err
-		}
-		if st.bestLeaf >= 0 {
-			break
-		}
-		if d.cfg.DisableRetry {
-			st.release()
-			return nil, fmt.Errorf("%w (r²=%v)", ErrNoLeaf, radius)
-		}
-		if math.IsInf(radius, 1) {
-			st.release()
-			return nil, fmt.Errorf("%w despite infinite radius", ErrNoLeaf)
-		}
-		radius *= 2
-		retries++
-		if retries > 60 {
-			st.release()
-			return nil, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
-		}
-		carried := st.counters.TotalFlops()
-		st.beginAttempt(radius, deadline)
-		st.counters.OtherFlops += carried
-		st.counters.RegularLoads += 4 * n * m
+	retries, truncated, err := st.runAttempts(radius, deadline, preFlops, 4*n*m)
+	if err != nil {
+		st.release()
+		return nil, err
 	}
 
 	mInt := pre.M

@@ -455,3 +455,150 @@ func TestRealSEZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// The TestRVD* cases below pin the real-valued decomposition itself (the
+// 2M-level PAM tree) through the RealSE engine that implements it.
+
+func TestRVDRejectsBPSK(t *testing.T) {
+	if _, err := New(Config{Const: constellation.New(constellation.BPSK), Strategy: RealSE}); err == nil {
+		t.Fatal("BPSK accepted")
+	}
+}
+
+func TestRVDPAMLevels(t *testing.T) {
+	d := MustNew(Config{Const: constellation.New(constellation.QAM16), Strategy: RealSE})
+	if len(d.pam) != 4 || len(d.pamLabels) != 4 || d.axisBits != 2 {
+		t.Fatalf("pam=%v labels=%v axisBits=%d", d.pam, d.pamLabels, d.axisBits)
+	}
+	for i := 1; i < len(d.pam); i++ {
+		if d.pam[i] <= d.pam[i-1] {
+			t.Fatalf("PAM not ascending: %v", d.pam)
+		}
+	}
+}
+
+func TestRVDMatchesML(t *testing.T) {
+	r := rng.New(81)
+	for _, mod := range []constellation.Modulation{constellation.QAM4, constellation.QAM16} {
+		c := constellation.New(mod)
+		ml := decoder.NewML(c)
+		rvd := MustNew(Config{Const: c, Strategy: RealSE})
+		for trial := 0; trial < 12; trial++ {
+			h, y, nv, _ := makeInstance(r, c, 4, 4, 8)
+			want, err := ml.Decode(h, y, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rvd.Decode(h, y, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Metric-want.Metric) > 1e-6*(1+want.Metric) {
+				t.Fatalf("%v trial %d: RVD %v vs ML %v", mod, trial, got.Metric, want.Metric)
+			}
+		}
+	}
+}
+
+func TestRVDMatchesComplexSD(t *testing.T) {
+	// Both formulations are exact: decoded vectors must agree.
+	r := rng.New(82)
+	c := constellation.New(constellation.QAM4)
+	complexSD := MustNew(Config{Const: c, Strategy: SortedDFS})
+	rvd := MustNew(Config{Const: c, Strategy: RealSE})
+	for trial := 0; trial < 15; trial++ {
+		h, y, nv, _ := makeInstance(r, c, 8, 8, 6)
+		a, err := complexSD.Decode(h, y, nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rvd.Decode(h, y, nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.SymbolIdx {
+			if a.SymbolIdx[i] != b.SymbolIdx[i] {
+				t.Fatalf("trial %d: formulations disagree at antenna %d", trial, i)
+			}
+		}
+	}
+}
+
+func TestRVDNoiselessRecovery(t *testing.T) {
+	r := rng.New(83)
+	c := constellation.New(constellation.QAM16)
+	rvd := MustNew(Config{Const: c, Strategy: RealSE})
+	h, y, _, idx := makeInstance(r, c, 5, 5, 300)
+	res, err := rvd.Decode(h, y, 1e-30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range idx {
+		if res.SymbolIdx[i] != idx[i] {
+			t.Fatalf("antenna %d: %d vs %d", i, res.SymbolIdx[i], idx[i])
+		}
+	}
+}
+
+func TestRVDTreeShape(t *testing.T) {
+	// 16-QAM RVD: branching 4 over 2M levels, so children per expansion is
+	// the PAM size, not |Ω|.
+	r := rng.New(84)
+	c := constellation.New(constellation.QAM16)
+	rvd := MustNew(Config{Const: c, Strategy: RealSE})
+	h, y, nv, _ := makeInstance(r, c, 4, 4, 10)
+	res, err := rvd.Decode(h, y, nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.ChildrenGenerated != res.Counters.NodesExpanded*4 {
+		t.Fatalf("children %d for %d expansions (want ×4)",
+			res.Counters.ChildrenGenerated, res.Counters.NodesExpanded)
+	}
+	// The real tree must be at least 2M deep: the best leaf path visits
+	// 2M levels, so at least 2M expansions happened.
+	if res.Counters.NodesExpanded < 8 {
+		t.Fatalf("only %d expansions for a 2M=8 level tree", res.Counters.NodesExpanded)
+	}
+}
+
+func TestRVDValidation(t *testing.T) {
+	c := constellation.New(constellation.QAM4)
+	rvd := MustNew(Config{Const: c, Strategy: RealSE})
+	h, y, _, _ := makeInstance(rng.New(85), c, 4, 4, 10)
+	if _, err := rvd.Decode(h, y[:3], 0.1); err == nil {
+		t.Error("dimension mismatch accepted")
+	}
+	res, err := MustNew(Config{Const: c, Strategy: RealSE, MaxNodes: 2}).Decode(h, y, 0.1)
+	if err != nil {
+		t.Fatalf("degraded RVD decode failed: %v", err)
+	}
+	if !res.Quality.Degraded() || res.DegradedBy != decoder.DegradedByBudget {
+		t.Errorf("budget exhaustion not flagged: %v/%q", res.Quality, res.DegradedBy)
+	}
+	if _, err := MustNew(Config{Const: c, Strategy: RealSE, MaxNodes: 2, HardBudget: true}).Decode(h, y, 0.1); err == nil {
+		t.Error("hard budget exhaustion not reported")
+	}
+}
+
+func TestRVDDegradedUsable(t *testing.T) {
+	r := rng.New(86)
+	c := constellation.New(constellation.QAM16)
+	rvd := MustNew(Config{Const: c, Strategy: RealSE, MaxNodes: 3})
+	for trial := 0; trial < 30; trial++ {
+		h, y, nv, _ := makeInstance(r, c, 6, 6, 4)
+		res, err := rvd.Decode(h, y, nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Quality.Degraded() {
+			t.Fatalf("trial %d: 3-node budget not degraded", trial)
+		}
+		if math.IsNaN(res.Metric) || math.IsInf(res.Metric, 0) {
+			t.Fatalf("trial %d: degraded metric %v", trial, res.Metric)
+		}
+		if len(res.SymbolIdx) != 6 {
+			t.Fatalf("trial %d: %d symbols", trial, len(res.SymbolIdx))
+		}
+	}
+}

@@ -2,6 +2,8 @@ package sphere
 
 import (
 	"container/heap"
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -43,11 +45,15 @@ type search struct {
 
 	counters decoder.Counters
 
-	// rec mirrors cfg.Recorder; nil (the common case) disables all trace
-	// hooks. Recorder bookkeeping piggybacks on the counters the search
-	// maintains anyway: hook sites snapshot a counter before a child loop
-	// and report the delta after, so the disabled path executes no extra
-	// work beyond one nil check.
+	// maxNodes is the node budget of this search: cfg.MaxNodes, or the
+	// tighter per-call Limits.MaxNodes.
+	maxNodes int64
+
+	// rec is this search's recorder (Limits.Recorder, else cfg.Recorder);
+	// nil (the common case) disables all trace hooks. Recorder bookkeeping
+	// piggybacks on the counters the search maintains anyway: hook sites
+	// snapshot a counter before a child loop and report the delta after, so
+	// the disabled path executes no extra work beyond one nil check.
 	rec trace.Recorder
 
 	// Reusable scratch.
@@ -99,12 +105,12 @@ var searchPool = sync.Pool{New: func() any { return new(search) }}
 // acquireSearch checks a search out of the pool, sized for the reduced
 // system rooted at R. Install ȳ via computeYbar (or assign s.ybar), call
 // beginAttempt before running, and release when done.
-func acquireSearch(cfg *Config, r *cmatrix.Matrix) *search {
+func acquireSearch(cfg *Config, r *cmatrix.Matrix, lim Limits) *search {
 	s := searchPool.Get().(*search)
 	m := r.Cols
 	p := cfg.Const.Size()
 	s.cfg, s.m, s.p, s.r, s.ybar = cfg, m, p, r, nil
-	s.rec = cfg.Recorder
+	s.setLimits(cfg, lim)
 	s.pts = cfg.Const.Points()
 	if cfg.VerifyGEMM {
 		s.ptsSum, s.maxPtAbs = 0, 0
@@ -128,6 +134,18 @@ func acquireSearch(cfg *Config, r *cmatrix.Matrix) *search {
 	s.order = growInts(s.order, p)
 	s.incPath = false
 	return s
+}
+
+// setLimits installs the search's node budget and recorder: lim's where
+// set, cfg's otherwise. A per-call MaxNodes only ever tightens cfg's.
+func (s *search) setLimits(cfg *Config, lim Limits) {
+	s.maxNodes, s.rec = cfg.MaxNodes, cfg.Recorder
+	if lim.MaxNodes > 0 && lim.MaxNodes < cfg.MaxNodes {
+		s.maxNodes = lim.MaxNodes
+	}
+	if lim.Recorder != nil {
+		s.rec = lim.Recorder
+	}
 }
 
 // computeYbar rotates y into the reduced domain (ȳ = Qᴴy) using the pooled
@@ -162,6 +180,47 @@ func (s *search) beginAttempt(radiusSq float64, deadline time.Time) {
 		// per-level tallies — they must describe the same (final) attempt
 		// the counters describe.
 		s.rec.SearchStart(s.m, s.p, radiusSq)
+	}
+}
+
+// runAttempts searches from radius until a leaf is found, doubling an empty
+// sphere (the standard retry when the initial radius was guessed too small).
+// preFlops and loads are the preprocessing work charged to the first
+// attempt; each retry re-pays loads and carries the wasted flops forward so
+// the platform models pay for them. A budget or deadline stop reports
+// truncated under the anytime contract and an error under HardBudget.
+func (s *search) runAttempts(radius float64, deadline time.Time, preFlops, loads int64) (retries int, truncated bool, err error) {
+	s.beginAttempt(radius, deadline)
+	s.counters.OtherFlops += preFlops
+	s.counters.RegularLoads += loads
+	for {
+		if err := s.run(); err != nil {
+			if (errors.Is(err, ErrBudget) || errors.Is(err, ErrDeadline)) && !s.cfg.HardBudget {
+				return retries, true, nil
+			}
+			return retries, false, err
+		}
+		if s.bestLeaf >= 0 {
+			return retries, false, nil
+		}
+		if s.cfg.DisableRetry {
+			return retries, false, fmt.Errorf("%w (r²=%v)", ErrNoLeaf, radius)
+		}
+		if math.IsInf(radius, 1) {
+			// An infinite sphere with no leaf means the tree itself was
+			// never completed — only possible via the node budget, which
+			// run() reports; reaching here indicates a logic error.
+			return retries, false, fmt.Errorf("%w despite infinite radius", ErrNoLeaf)
+		}
+		radius *= 2
+		retries++
+		if retries > 60 {
+			return retries, false, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
+		}
+		carried := s.counters.TotalFlops()
+		s.beginAttempt(radius, deadline)
+		s.counters.OtherFlops += carried
+		s.counters.RegularLoads += loads
 	}
 }
 
@@ -460,7 +519,7 @@ func (s *search) commitLeaf(parent int32, sym int, pd float64) {
 // spent or deadline passed — and records the reason. The deadline is
 // polled every 64 expansions to keep time syscalls off the per-node path.
 func (s *search) budgetExceeded() bool {
-	if s.counters.NodesExpanded >= s.cfg.MaxNodes {
+	if s.counters.NodesExpanded >= s.maxNodes {
 		s.stopReason = decoder.DegradedByBudget
 		return true
 	}

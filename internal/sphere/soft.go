@@ -109,7 +109,7 @@ func (d *SoftDecoder) DecodeSoftPre(pre *Preprocessed, y cmatrix.Vector, noiseVa
 	}
 	f := pre.F
 	start := time.Now()
-	st := acquireSearch(&d.cfg, f.R)
+	st := acquireSearch(&d.cfg, f.R, Limits{})
 	defer st.release()
 	if d.cfg.VerifyGEMM {
 		st.rowMass = pre.RowMass()

@@ -251,8 +251,20 @@ type Config struct {
 	// hook site guards on nil, so a disabled recorder costs nothing (the
 	// zero-alloc steady-state tests pin this). The recorder is invoked from
 	// the decoding goroutine; installing one on a decoder shared across
-	// goroutines races, so per-frame tracing builds a dedicated SD per
-	// frame (see internal/core).
+	// goroutines races, so per-frame tracing passes each frame's recorder
+	// through Limits instead (see DecodePreLimited).
+	Recorder trace.Recorder
+}
+
+// Limits narrow one decode below its decoder's configuration. A batch
+// scheduler hands every frame its share of a node pool and its own trace
+// recorder through one shared SD, so nothing is rebuilt per frame.
+type Limits struct {
+	// MaxNodes, when positive, caps this call's tree expansions at the
+	// smaller of it and Config.MaxNodes.
+	MaxNodes int64
+	// Recorder, when non-nil, receives this call's search trace in place of
+	// Config.Recorder.
 	Recorder trace.Recorder
 }
 
@@ -414,7 +426,7 @@ func (d *SD) DecodeTraced(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64)
 		return nil, nil, fmt.Errorf("sphere: preprocessing failed: %w", err)
 	}
 	res := new(decoder.Result)
-	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, true, res)
+	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, Limits{}, true, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -427,8 +439,15 @@ func (d *SD) DecodeTraced(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64)
 // when the call should pay for the QR (a standalone decode) and 0 when a
 // batch already charged it to an earlier frame sharing the channel.
 func (d *SD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64) (*decoder.Result, error) {
+	return d.DecodePreLimited(pre, y, noiseVar, qrFlops, Limits{})
+}
+
+// DecodePreLimited is DecodePre under per-call limits: lim.MaxNodes tightens
+// the node budget and lim.Recorder traces this search only. The decoder
+// itself is not modified, so concurrent calls may each carry their own.
+func (d *SD) DecodePreLimited(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, lim Limits) (*decoder.Result, error) {
 	res := new(decoder.Result)
-	if err := d.DecodePreInto(pre, y, noiseVar, qrFlops, res); err != nil {
+	if _, err := d.decodePre(pre, y, noiseVar, qrFlops, lim, false, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -439,14 +458,15 @@ func (d *SD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 // capacity suffices, so a warmed-up decode loop performs zero heap
 // allocations per call.
 func (d *SD) DecodePreInto(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, res *decoder.Result) error {
-	_, err := d.decodePre(pre, y, noiseVar, qrFlops, false, res)
+	_, err := d.decodePre(pre, y, noiseVar, qrFlops, Limits{}, false, res)
 	return err
 }
 
-// decodePre runs the search against pre's reduced system. When wantInfo is
-// set the Meta State Table is detached from the pooled search and handed to
-// the caller inside a SearchInfo; otherwise everything returns to the pool.
-func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, wantInfo bool, res *decoder.Result) (*SearchInfo, error) {
+// decodePre runs the search against pre's reduced system under lim. When
+// wantInfo is set the Meta State Table is detached from the pooled search
+// and handed to the caller inside a SearchInfo; otherwise everything returns
+// to the pool.
+func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, lim Limits, wantInfo bool, res *decoder.Result) (*SearchInfo, error) {
 	if err := pre.CheckY(y); err != nil {
 		return nil, err
 	}
@@ -461,13 +481,13 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		start = time.Now()
 	}
 	if d.cfg.Strategy == RealSE {
-		return d.decodePreReal(pre, y, noiseVar, qrFlops, wantInfo, res, start)
+		return d.decodePreReal(pre, y, noiseVar, qrFlops, lim, wantInfo, res, start)
 	}
 	var deadline time.Time
 	if d.cfg.Deadline > 0 {
 		deadline = start.Add(d.cfg.Deadline)
 	}
-	st := acquireSearch(&d.cfg, pre.F.R)
+	st := acquireSearch(&d.cfg, pre.F.R, lim)
 	if d.cfg.VerifyGEMM {
 		st.rowMass = pre.RowMass()
 	}
@@ -491,46 +511,10 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		info = &SearchInfo{PreprocessFlops: preFlops}
 	}
 
-	retries := 0
-	truncated := false
-	st.beginAttempt(radius, deadline)
-	st.counters.OtherFlops += preFlops
-	st.counters.RegularLoads += n * m
-	for {
-		if err := st.run(); err != nil {
-			if (errors.Is(err, ErrBudget) || errors.Is(err, ErrDeadline)) && !d.cfg.HardBudget {
-				// Anytime contract: stop searching and degrade below.
-				truncated = true
-				break
-			}
-			st.release()
-			return nil, err
-		}
-		if st.bestLeaf >= 0 {
-			break
-		}
-		if d.cfg.DisableRetry {
-			st.release()
-			return nil, fmt.Errorf("%w (r²=%v)", ErrNoLeaf, radius)
-		}
-		if math.IsInf(radius, 1) {
-			// An infinite sphere with no leaf means the tree itself was
-			// never completed — only possible via the node budget, which
-			// run() reports; reaching here indicates a logic error.
-			st.release()
-			return nil, fmt.Errorf("%w despite infinite radius", ErrNoLeaf)
-		}
-		radius *= 2
-		retries++
-		if retries > 60 {
-			st.release()
-			return nil, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
-		}
-		// Carry the wasted work forward so the platform models pay for it.
-		carried := st.counters.TotalFlops()
-		st.beginAttempt(radius, deadline)
-		st.counters.OtherFlops += carried
-		st.counters.RegularLoads += n * m
+	retries, truncated, err := st.runAttempts(radius, deadline, preFlops, n*m)
+	if err != nil {
+		st.release()
+		return nil, err
 	}
 
 	mInt := pre.M

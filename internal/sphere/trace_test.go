@@ -2,6 +2,7 @@ package sphere
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/constellation"
@@ -217,5 +218,63 @@ func TestRecorderDisabledIsFree(t *testing.T) {
 	}
 	if best != 0 {
 		t.Errorf("nil Recorder: %v allocs/op in steady state, want 0", best)
+	}
+}
+
+// TestDecodePreLimited: per-call limits act exactly like the same limits
+// configured on a dedicated decoder, never loosen the decoder's own budget,
+// and leave the shared decoder untouched.
+func TestDecodePreLimited(t *testing.T) {
+	r := rng.New(76)
+	c := constellation.New(constellation.QAM16)
+	for _, st := range []Strategy{SortedDFS, RealSE} {
+		sd := MustNew(Config{Const: c, Strategy: st})
+		h, y, nv, _ := makeInstance(r, c, 6, 6, 6)
+		pre, err := Preprocess(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, got, want *decoder.Result) {
+			t.Helper()
+			if got.Metric != want.Metric || got.Counters != want.Counters || got.Quality != want.Quality ||
+				got.DegradedBy != want.DegradedBy || !slices.Equal(got.SymbolIdx, want.SymbolIdx) {
+				t.Fatalf("%v %s:\n got %+v\nwant %+v", st, what, got, want)
+			}
+		}
+
+		capped, err := sd.DecodePreLimited(pre, y, nv, 0, Limits{MaxNodes: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MustNew(Config{Const: c, Strategy: st, MaxNodes: 5}).DecodePre(pre, y, nv, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("capped", capped, want)
+		if capped.DegradedBy != decoder.DegradedByBudget || capped.Counters.NodesExpanded > 5 {
+			t.Fatalf("%v: 5-node cap not honoured: %q after %d nodes", st, capped.DegradedBy, capped.Counters.NodesExpanded)
+		}
+		if sd.Config().MaxNodes == 5 {
+			t.Fatalf("%v: a per-call limit leaked into the decoder's config", st)
+		}
+		loose, err := MustNew(Config{Const: c, Strategy: st, MaxNodes: 5}).DecodePreLimited(pre, y, nv, 0, Limits{MaxNodes: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("loose limit", loose, want)
+
+		rec := trace.NewSearchTrace()
+		traced, err := sd.DecodePreLimited(pre, y, nv, 0, Limits{Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := sd.DecodePre(pre, y, nv, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("traced", traced, full)
+		if got, want := rec.NodesVisited(), traced.Counters.NodesExpanded; got != want || got == 0 {
+			t.Fatalf("%v: trace visits %d, counters %d", st, got, want)
+		}
 	}
 }

@@ -83,7 +83,8 @@ const (
 	// polynomial complexity, BER between MMSE and ML.
 	AlgSIC Algorithm = "sic"
 	// AlgSphereRVD is the real-valued-decomposition sphere decoder: the
-	// 2M-level PAM-tree formulation. Exact, like the complex search.
+	// 2M-level PAM-tree formulation. Exact, like the complex search. It
+	// names the same engine as AlgSphereRVDSE.
 	AlgSphereRVD Algorithm = "sd-rvd"
 	// AlgSphereRVDSE is the real-valued hot-path engine: RVD tree with
 	// Schnorr–Euchner analytic child ordering (no per-node sort). Exact.
@@ -151,9 +152,7 @@ func newDecoder(alg Algorithm, cons *constellation.Constellation) (decoder.Decod
 		return lattice.NewDecoder(cons), nil
 	case AlgSIC:
 		return decoder.NewSIC(cons), nil
-	case AlgSphereRVD:
-		return sphere.NewRVD(cons)
-	case AlgSphereRVDSE:
+	case AlgSphereRVD, AlgSphereRVDSE:
 		return sphere.New(sphere.Config{Const: cons, Strategy: sphere.RealSE})
 	case AlgSphereLInf:
 		return sphere.New(sphere.Config{Const: cons, Strategy: sphere.RealSE, Norm: sphere.NormLInf})
@@ -592,9 +591,10 @@ func (a *Accelerator) batchInputs(links []*Link) ([]core.BatchInput, error) {
 	return inputs, nil
 }
 
-// BatchBudget bounds a whole DecodeBatchBudget call. Exhaustion never drops
-// frames: overrunning work is cut at the budget and the remaining links are
-// shed to the linear fallback detector, each flagged via Detection.Quality.
+// BatchBudget bounds a whole DecodeBatch call (see WithBudget). Exhaustion
+// never drops frames: overrunning work is cut at the budget and the
+// remaining links are shed to the linear fallback detector, each flagged via
+// Detection.Quality.
 type BatchBudget struct {
 	// Deadline bounds the modeled FPGA time of the batch; 0 = none.
 	Deadline time.Duration
@@ -709,20 +709,6 @@ func (a *Accelerator) DecodeBatch(links []*Link, opts ...BatchOption) (*BatchRes
 		return nil, err
 	}
 	return a.batchResultFrom(rep, name), nil
-}
-
-// DecodeBatchBudget decodes a batch under a batch-level budget.
-//
-// Deprecated: use DecodeBatch(links, WithBudget(budget)).
-func (a *Accelerator) DecodeBatchBudget(links []*Link, budget BatchBudget) (*BatchResult, error) {
-	return a.DecodeBatch(links, WithBudget(budget))
-}
-
-// DecodeBatchFallback decodes a batch with the linear fallback detector.
-//
-// Deprecated: use DecodeBatch(links, WithFallback()).
-func (a *Accelerator) DecodeBatchFallback(links []*Link) (*BatchResult, error) {
-	return a.DecodeBatch(links, WithFallback())
 }
 
 // SoftBatchResult is a BatchResult with per-link bit LLRs.

@@ -53,8 +53,9 @@ func TestValidateInputConsistency(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchOptions: the variadic batch surface and its deprecated
-// wrappers must agree.
+// TestDecodeBatchOptions: the variadic batch surface's modes must agree
+// where they overlap — a zero budget is the plain decode, and both linear
+// routes name the fallback the same way.
 func TestDecodeBatchOptions(t *testing.T) {
 	cfg := Config{TxAntennas: 4, RxAntennas: 4, Modulation: "4-QAM"}
 	acc, err := NewAccelerator(cfg, VariantOptimized)
@@ -73,12 +74,12 @@ func TestDecodeBatchOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := acc.DecodeBatchBudget(links, BatchBudget{})
+	budgeted, err := acc.DecodeBatch(links, WithBudget(BatchBudget{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.NodesExplored != budgeted.NodesExplored {
-		t.Fatal("deprecated DecodeBatchBudget wrapper diverged")
+		t.Fatal("a zero batch budget changed the decode")
 	}
 	fb, err := acc.DecodeBatch(links, WithFallback())
 	if err != nil {
@@ -89,12 +90,12 @@ func TestDecodeBatchOptions(t *testing.T) {
 			t.Fatalf("link %d: fallback batch produced quality %q", i, det.Quality)
 		}
 	}
-	fbOld, err := acc.DecodeBatchFallback(links)
+	linear, err := acc.DecodeBatch(links, WithPolicy(DecodePolicy{Linear: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.Detections[0].Algorithm != fbOld.Detections[0].Algorithm {
-		t.Fatal("fallback naming diverged between surfaces")
+	if fb.Detections[0].Algorithm != linear.Detections[0].Algorithm {
+		t.Fatal("fallback naming diverged between the linear routes")
 	}
 	tight, err := acc.DecodeBatch(links, WithBudget(BatchBudget{NodeBudget: 1}))
 	if err != nil {
