@@ -263,7 +263,7 @@ func main() {
 	flag.BoolVar(&o.scalarEval, "scalar-eval", true, "use the scalar evaluation path (identical decodes, faster in simulation)")
 	flag.StringVar(&o.strategy, "strategy", "", "tree-search strategy: sorted-dfs (default), plain-dfs, best-fs, bfs, fsd, rvd-se")
 	flag.StringVar(&o.norm, "norm", "", "partial-distance norm: l2 (default) or linf (requires -strategy rvd-se)")
-	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096,fp16 (empty = backend default)")
+	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096 (empty = backend default)")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the adaptive complexity controller (per-class policy from SNR, node cost, and queue depth)")
 	flag.Float64Var(&o.adaptNodeCeiling, "adapt-node-ceiling", 0, "node-cost EWMA that reads as pressure 1.0 to the controller (0 = default 1048576)")
 	flag.BoolVar(&o.pprof, "pprof", false, "expose Go profiling under /debug/pprof/")

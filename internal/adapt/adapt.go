@@ -7,9 +7,9 @@
 // runtime-tunable sphere decoders: under light load everything runs the exact
 // exhaustive pipeline; as cost pressure rises it walks down a ladder of
 // cheaper configurations — SNR-scaled initial radius, the real-valued
-// Schnorr–Euchner decomposition under the ℓ∞ norm, half-precision GEMM with a
-// node budget, fixed-complexity search — before surrendering to the linear
-// detector. Degradation is immediate; recovery is hysteresis-gated so a
+// Schnorr–Euchner decomposition under the ℓ∞ norm, a tighter radius with a
+// per-frame node budget, fixed-complexity search — before surrendering to the
+// linear detector. Degradation is immediate; recovery is hysteresis-gated so a
 // saturated queue draining does not make the controller flap.
 //
 // All decisions are deterministic functions of the observation sequence: one
@@ -174,8 +174,8 @@ func DefaultLevels(squareQAM bool, budgetNodes int64) []Level {
 	}
 	levels = append(levels,
 		Level{
-			Name:        "budget-fp16",
-			Policy:      core.DecodePolicy{RadiusScale: 1.5, MaxNodes: budgetNodes, FP16GEMM: true},
+			Name:        "budget",
+			Policy:      core.DecodePolicy{RadiusScale: 1.5, MaxNodes: budgetNodes},
 			MaxPressure: 6,
 			MinSNRdB:    math.Inf(-1),
 		},

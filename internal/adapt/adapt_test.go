@@ -87,9 +87,9 @@ func TestDecideSNRGatesLevels(t *testing.T) {
 		t.Fatalf("high-SNR decision %q", d.Level)
 	}
 	// The same pressure at 3 dB skips both SNR-gated rungs (exact-radius
-	// needs 6 dB, se-linf needs 8) and lands on budget-fp16.
+	// needs 6 dB, se-linf needs 8) and lands on budget.
 	c.Observe("lo", 3, 2000, decoder.QualityExact)
-	if d := c.Decide("lo", 0, 0); d.Level != "budget-fp16" {
+	if d := c.Decide("lo", 0, 0); d.Level != "budget" {
 		t.Fatalf("low-SNR decision %q", d.Level)
 	}
 }

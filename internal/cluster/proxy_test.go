@@ -325,12 +325,15 @@ func TestHedgingWinsOnSlowPrimary(t *testing.T) {
 		c.AttemptTimeout = time.Second
 	})
 	f := genFrames(t, 1, 77)[0]
-	resp, err := p.Decode(context.Background(), toWire(f))
-	if err != nil {
+	if _, err := p.Decode(context.Background(), toWire(f)); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
+	// Stall the key's affinity primary, taken from the ring: the warmup's
+	// winner need not be it, since a cold primary that overruns HedgeAfter
+	// can lose the warmup to its own hedge.
+	primary := p.candidates(f.H.Fingerprint())[0].id
 	for _, s := range stubs {
-		if s.srv.URL == resp.Shard {
+		if s.srv.URL == primary {
 			s.stallFor.Store(int64(300 * time.Millisecond))
 		}
 	}
@@ -339,8 +342,8 @@ func TestHedgingWinsOnSlowPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode with stalled primary: %v", err)
 	}
-	if resp2.Shard == resp.Shard {
-		t.Fatalf("stalled primary %s still won; hedge never fired", resp.Shard)
+	if resp2.Shard == primary {
+		t.Fatalf("stalled primary %s still won; hedge never fired", primary)
 	}
 	if !resp2.Hedged {
 		t.Fatalf("response not marked hedged: %+v", resp2)

@@ -184,54 +184,6 @@ func GEMM(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
 	}
 }
 
-// GEMMRounded computes C = alpha*A*B + beta*C with every operand element
-// squeezed through round on load and the finished output squeezed once on
-// store, accumulating in full precision in between. It is the dispatch point
-// reduced-precision kernels plug into: internal/quantize supplies the
-// binary16 rounder, emulating an FPGA datapath that stores FP16 words but
-// accumulates through full-width DSP cascades (the mixed-precision mode the
-// paper's future work favors). Shape and beta semantics match GEMM; the
-// identity rounder reproduces GEMM's blocked kernel up to summation order.
-func GEMMRounded(alpha complex128, a, b *Matrix, beta complex128, c *Matrix, round func(complex128) complex128) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("cmatrix: GEMMRounded inner dims %d vs %d", a.Cols, b.Rows))
-	}
-	if c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("cmatrix: GEMMRounded output shape %dx%d, want %dx%d",
-			c.Rows, c.Cols, a.Rows, b.Cols))
-	}
-	switch beta {
-	case 1:
-	case 0:
-		for i := range c.Data {
-			c.Data[i] = 0
-		}
-	default:
-		for i := range c.Data {
-			c.Data[i] *= beta
-		}
-	}
-	if alpha != 0 {
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for k := 0; k < a.Cols; k++ {
-				av := alpha * round(arow[k])
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range crow {
-					crow[j] += av * round(brow[j])
-				}
-			}
-		}
-	}
-	for i := range c.Data {
-		c.Data[i] = round(c.Data[i])
-	}
-}
-
 // MulVec returns A*x. This is the memory-bound BLAS-2 kernel the paper's
 // GEMM refactoring replaces with batched BLAS-3 calls.
 func MulVec(a *Matrix, x Vector) Vector {

@@ -432,7 +432,7 @@ func (a *Accelerator) CheckPolicy(p DecodePolicy) error {
 // DecodeBatch decodes a batch of received vectors and produces the hardware
 // report. Inputs must match the accelerator's configuration. Options select
 // the batch mode: WithPolicy retargets the batch's strategy/norm/radius/
-// budget/precision, WithBudget bounds the whole batch, WithFallback skips
+// budget/verification, WithBudget bounds the whole batch, WithFallback skips
 // the tree search entirely, WithTrace records per-frame search traces and
 // phase spans. With no options this is the plain exhaustive batch decode.
 //

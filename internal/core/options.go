@@ -33,8 +33,8 @@ func WithBudget(b BatchBudget) BatchOption {
 }
 
 // WithPolicy decodes the batch under p instead of the accelerator's base
-// configuration: strategy, norm, SNR-scaled radius, per-frame node budget,
-// and the FP16 GEMM datapath all come from the policy. A Linear policy skips
+// configuration: strategy, norm, SNR-scaled radius, per-frame node budget
+// and GEMM verification all come from the policy. A Linear policy skips
 // the tree search entirely. Policy-derived decoders are cached per
 // accelerator, so steady-state batches under a repeated policy build
 // nothing.

@@ -11,16 +11,16 @@ import (
 // DecodePolicy is the single named-options type for everything a deployment
 // can trade between decode quality and decode cost: the traversal strategy,
 // the partial-distance norm, the SNR-scaled initial radius (Dabah et al.'s
-// complexity lever), a per-frame node budget, the half-precision GEMM
-// datapath, and the linear-only escape hatch. One value of this type travels
-// the whole stack — core.Options.Policy configures an accelerator,
+// complexity lever), a per-frame node budget, ABFT verification of the
+// batched product, and the linear-only escape hatch. One value of this type
+// travels the whole stack — core.Options.Policy configures an accelerator,
 // WithPolicy retargets a single DecodeBatch call, internal/adapt emits one
 // per request class, and sdserver's /v1/policy endpoint round-trips it as
 // the String/ParsePolicy spelling.
 //
 // The zero value is the paper's default pipeline (SortedDFS, ℓ², unbounded
-// radius and budget, full precision). DecodePolicy is comparable, so it can
-// key caches of policy-derived decoder instances.
+// radius and budget). DecodePolicy is comparable, so it can key caches of
+// policy-derived decoder instances.
 type DecodePolicy struct {
 	// Strategy selects the tree traversal; the zero value is SortedDFS.
 	Strategy sphere.Strategy
@@ -40,12 +40,6 @@ type DecodePolicy struct {
 	// degrades the result (anytime contract), never errors. Zero keeps the
 	// decoder default.
 	MaxNodes int64
-	// FP16GEMM routes child evaluation through the binary16-storage GEMM
-	// (internal/quantize): operands quantized to half precision, accumulation
-	// in full precision, outputs rounded back — the paper's proposed
-	// reduced-precision datapath. Implies GEMM evaluation; incompatible with
-	// RealSE, which never multiplies through a batched product.
-	FP16GEMM bool
 	// VerifyGEMM turns on the ABFT checksum verification of every batched
 	// child evaluation (internal/integrity): each GEMM output is checked
 	// against a Huang–Abraham row checksum and recomputed in place on a
@@ -87,9 +81,6 @@ func (p DecodePolicy) Validate() error {
 	if p.Norm == sphere.NormLInf && p.Strategy != sphere.RealSE {
 		return fmt.Errorf("core: norm=linf requires strategy=rvd-se, got %s", strategyNames[p.Strategy])
 	}
-	if p.FP16GEMM && p.Strategy == sphere.RealSE {
-		return fmt.Errorf("core: fp16 requires a GEMM strategy; rvd-se evaluates children analytically")
-	}
 	if p.RadiusScale < 0 || p.RadiusScale != p.RadiusScale {
 		return fmt.Errorf("core: invalid radius-scale %v", p.RadiusScale)
 	}
@@ -101,7 +92,7 @@ func (p DecodePolicy) Validate() error {
 
 // String renders the canonical spelling: "default", "linear", or a
 // comma-separated key=value list ("strategy=rvd-se,norm=linf",
-// "radius-scale=2,max-nodes=4096,fp16"). ParsePolicy(p.String()) == p for
+// "radius-scale=2,max-nodes=4096"). ParsePolicy(p.String()) == p for
 // every valid policy.
 func (p DecodePolicy) String() string {
 	if p.Linear {
@@ -120,9 +111,6 @@ func (p DecodePolicy) String() string {
 	if p.MaxNodes > 0 {
 		parts = append(parts, "max-nodes="+strconv.FormatInt(p.MaxNodes, 10))
 	}
-	if p.FP16GEMM {
-		parts = append(parts, "fp16")
-	}
 	if p.VerifyGEMM {
 		parts = append(parts, "verify")
 	}
@@ -134,8 +122,8 @@ func (p DecodePolicy) String() string {
 
 // ParsePolicy parses the String spelling: "default" (or ""), "linear", or
 // comma-separated items where each item is key=value (strategy, norm,
-// radius-scale, max-nodes), the bare flag "fp16", or a bare strategy/norm
-// name ("rvd-se", "linf"). Strategy and norm values go through
+// radius-scale, max-nodes, verify), the bare flag "verify", or a bare
+// strategy/norm name ("rvd-se", "linf"). Strategy and norm values go through
 // sphere.ParseStrategy / sphere.ParseNorm, so every spelling those accept is
 // accepted here — the one table all binaries share.
 func ParsePolicy(s string) (DecodePolicy, error) {
@@ -157,9 +145,6 @@ func ParsePolicy(s string) (DecodePolicy, error) {
 		val = strings.TrimSpace(val)
 		if !hasEq {
 			switch key {
-			case "fp16":
-				p.FP16GEMM = true
-				continue
 			case "verify":
 				p.VerifyGEMM = true
 				continue
@@ -201,12 +186,6 @@ func ParsePolicy(s string) (DecodePolicy, error) {
 				return p, fmt.Errorf("core: policy %q: max-nodes: %w", s, err)
 			}
 			p.MaxNodes = n
-		case "fp16":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return p, fmt.Errorf("core: policy %q: fp16: %w", s, err)
-			}
-			p.FP16GEMM = b
 		case "verify":
 			b, err := strconv.ParseBool(val)
 			if err != nil {
@@ -237,10 +216,6 @@ func (p DecodePolicy) sphereConfig(base sphere.Config) sphere.Config {
 	cfg.RadiusScale = p.RadiusScale
 	cfg.MaxNodes = p.MaxNodes // zero resolves to the decoder default
 	cfg.HardBudget = false
-	cfg.FP16GEMM = p.FP16GEMM
-	if p.FP16GEMM {
-		cfg.UseGEMM = true
-	}
 	// Integrity is a deployment property: a per-request policy can add
 	// verification but never strip it from an accelerator built with it on.
 	cfg.VerifyGEMM = base.VerifyGEMM || p.VerifyGEMM

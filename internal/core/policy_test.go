@@ -23,12 +23,10 @@ func TestPolicyStringParseRoundTrip(t *testing.T) {
 		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
 		{RadiusScale: 2},
 		{RadiusScale: 1.5, MaxNodes: 4096},
-		{FP16GEMM: true},
 		{VerifyGEMM: true},
-		{FP16GEMM: true, VerifyGEMM: true},
 		{Strategy: sphere.RealSE, VerifyGEMM: true},
-		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20, FP16GEMM: true},
-		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20, FP16GEMM: true, VerifyGEMM: true},
+		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20},
+		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20, VerifyGEMM: true},
 	}
 	for _, p := range cases {
 		s := p.String()
@@ -51,8 +49,8 @@ func TestPolicyStringCanonical(t *testing.T) {
 		{DecodePolicy{}, "default"},
 		{DecodePolicy{Linear: true}, "linear"},
 		{DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf}, "strategy=rvd-se,norm=linf"},
-		{DecodePolicy{RadiusScale: 2, MaxNodes: 100, FP16GEMM: true}, "radius-scale=2,max-nodes=100,fp16"},
-		{DecodePolicy{FP16GEMM: true, VerifyGEMM: true}, "fp16,verify"},
+		{DecodePolicy{RadiusScale: 2, MaxNodes: 100}, "radius-scale=2,max-nodes=100"},
+		{DecodePolicy{MaxNodes: 100, VerifyGEMM: true}, "max-nodes=100,verify"},
 	}
 	for _, c := range cases {
 		if got := c.p.String(); got != c.want {
@@ -75,8 +73,6 @@ func TestParsePolicySpellings(t *testing.T) {
 		{"rvd-se", DecodePolicy{Strategy: sphere.RealSE}},
 		{"rvd-se,linf", DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf}},
 		{"strategy=fsd", DecodePolicy{Strategy: sphere.FSD}},
-		{"fp16", DecodePolicy{FP16GEMM: true}},
-		{"fp16=false", DecodePolicy{}},
 		{"verify", DecodePolicy{VerifyGEMM: true}},
 		{"verify=false", DecodePolicy{}},
 		{"Verify=TRUE", DecodePolicy{VerifyGEMM: true}},
@@ -100,17 +96,18 @@ func TestParsePolicyRejects(t *testing.T) {
 		"norm=l7",                // unknown norm
 		"linf",                   // linf without rvd-se
 		"norm=linf,strategy=fsd", // ditto, spelled out
-		"rvd-se,fp16",            // fp16 needs a GEMM strategy
-		"linear,fp16",            // linear composes with nothing
+		"fp16",                   // the half-precision GEMM key is gone
+		"fp16=true",              // in every spelling
+		"radius-scale=2,fp16",    // including beside valid items
+		"linear,max-nodes=5",     // linear composes with nothing
 		"radius-scale=-1",
 		"radius-scale=nan",
 		"max-nodes=-5",
 		"max-nodes=many",
-		"turbo",       // unknown bare item
-		"speed=11",    // unknown key
-		"fp16=maybe ", // unparsable bool
-		"verify=perhaps",
-		"linear,verify", // linear composes with nothing
+		"turbo",          // unknown bare item
+		"speed=11",       // unknown key
+		"verify=perhaps", // unparsable bool
+		"linear,verify",  // linear composes with nothing
 	}
 	for _, s := range bad {
 		if _, err := ParsePolicy(s); err == nil {
@@ -128,11 +125,10 @@ func TestPolicyValidate(t *testing.T) {
 	}
 	bad := []DecodePolicy{
 		{Linear: true, MaxNodes: 5},
-		{Linear: true, FP16GEMM: true},
+		{Linear: true, VerifyGEMM: true},
 		{Strategy: sphere.Strategy(99)},
 		{Norm: sphere.Norm(7)},
 		{Norm: sphere.NormLInf},
-		{Strategy: sphere.RealSE, FP16GEMM: true},
 		{RadiusScale: -2},
 		{MaxNodes: -1},
 	}
@@ -230,12 +226,12 @@ func TestWithPolicyInvalidPolicyErrors(t *testing.T) {
 	if _, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{Norm: sphere.NormLInf})); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
-	// Modulation-dependent rejection: RealSE needs square QAM; 8-PSK-like
-	// constellations have no PAM decomposition. QAM4/16/64 are all square
-	// here, so exercise the error path with fp16 on rvd-se via CheckPolicy
-	// below instead; DecodeBatch must also reject a policy the accelerator
-	// cannot build.
-	if _, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{Strategy: sphere.RealSE, FP16GEMM: true})); err == nil {
+	// Modulation-dependent rejection: RealSE needs square QAM, and BPSK has
+	// no PAM decomposition. The policy validates, but DecodeBatch must still
+	// reject it because the accelerator cannot build it.
+	bpsk := MustNew(fpga.Optimized, constellation.BPSK, 6, 6, Options{})
+	bpskInputs, _ := batchFor(t, mimo.Config{Tx: 6, Rx: 6, Mod: constellation.BPSK}, 14, 2, 51)
+	if _, err := bpsk.DecodeBatch(bpskInputs, WithPolicy(DecodePolicy{Strategy: sphere.RealSE})); err == nil {
 		t.Fatal("unbuildable policy accepted")
 	}
 }
@@ -273,7 +269,7 @@ func TestCheckPolicy(t *testing.T) {
 		{},
 		{Linear: true},
 		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
-		{RadiusScale: 2, MaxNodes: 1000, FP16GEMM: true},
+		{RadiusScale: 2, MaxNodes: 1000, VerifyGEMM: true},
 	}
 	for _, p := range ok {
 		if err := acc.CheckPolicy(p); err != nil {
@@ -282,7 +278,7 @@ func TestCheckPolicy(t *testing.T) {
 	}
 	bad := []DecodePolicy{
 		{Norm: sphere.NormLInf},
-		{Strategy: sphere.RealSE, FP16GEMM: true},
+		{RadiusScale: -1},
 		{MaxNodes: -1},
 	}
 	for _, p := range bad {
@@ -312,31 +308,5 @@ func TestBatchBudgetCapsPolicyBudget(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("tiny batch pool under a huge policy budget degraded nothing")
-	}
-}
-
-func TestFP16PolicyDecodesExactly(t *testing.T) {
-	// The half-precision GEMM datapath is a different arithmetic, not a
-	// different algorithm: at high SNR it must still decode cleanly and
-	// report exact quality.
-	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{})
-	inputs, sent := batchFor(t, cfg4(), 14, 20, 71)
-	rep, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{FP16GEMM: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := 0
-	for i, res := range rep.Results {
-		if res.Quality != decoder.QualityExact {
-			t.Fatalf("frame %d: quality %v", i, res.Quality)
-		}
-		for j := range sent[i] {
-			if res.SymbolIdx[j] != sent[i][j] {
-				errs++
-			}
-		}
-	}
-	if errs > 2 {
-		t.Fatalf("%d symbol errors at 14 dB through fp16 GEMM", errs)
 	}
 }

@@ -46,27 +46,21 @@ const (
 	SiteMetricAudit = "metric-audit"
 )
 
-// EpsFloat64 and EpsFP16 are the relative-error units for GEMM verification:
-// the product's accumulation precision, not the storage precision. FP16 GEMM
-// rounds every operand to half precision, so its checksum identity only
-// holds to ~2⁻¹¹ per term.
-const (
-	EpsFloat64 = 0x1p-52
-	EpsFP16    = 0x1p-10
-)
+// EpsFloat64 is the relative-error unit for GEMM verification: the float64
+// accumulation precision of every product the decode path computes.
+const EpsFloat64 = 0x1p-52
 
 // VerifyGEMM checks c = a·b by the Huang–Abraham row-checksum identity: the
 // row sums of C must equal A applied to the column-sum vector of B. The
 // comparison tolerance scales with the accumulated magnitude Σ|a|·Σ|b| per
-// row and with eps (EpsFloat64 for the float64 kernels, EpsFP16 for the
-// half-precision path), so honest rounding never trips it while a flipped
+// row and with EpsFloat64, so honest rounding never trips it while a flipped
 // exponent, sign, or high-mantissa bit in any output word does. Cost is
 // O(kn + mk + mn) against the product's O(mnk); for the decode hot path's
 // row-vector products (m = 1) the checksum pass is adds-only where the
 // product pays multiplies.
 //
 // It reports false on a mismatch; shape errors panic like cmatrix.GEMM.
-func VerifyGEMM(a, b, c *cmatrix.Matrix, eps float64) bool {
+func VerifyGEMM(a, b, c *cmatrix.Matrix) bool {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if b.Rows != k || c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("integrity: VerifyGEMM shapes %dx%d · %dx%d -> %dx%d",
@@ -96,7 +90,7 @@ func VerifyGEMM(a, b, c *cmatrix.Matrix, eps float64) bool {
 			r += cv
 		}
 		d := r - u
-		tol := eps * terms * scale
+		tol := EpsFloat64 * terms * scale
 		if math.Abs(real(d))+math.Abs(imag(d)) > tol {
 			return false
 		}
@@ -107,7 +101,7 @@ func VerifyGEMM(a, b, c *cmatrix.Matrix, eps float64) bool {
 // VerifyRowGEMM is VerifyGEMM specialized to the decode hot path's m = 1
 // shape with the column-sum pass fused; kept separate so the general path
 // stays readable. a is the 1×k row (as a flat slice), b is k×n.
-func VerifyRowGEMM(a []complex128, b *cmatrix.Matrix, c []complex128, eps float64) bool {
+func VerifyRowGEMM(a []complex128, b *cmatrix.Matrix, c []complex128) bool {
 	k, n := b.Rows, b.Cols
 	if len(a) != k || len(c) != n {
 		panic(fmt.Sprintf("integrity: VerifyRowGEMM shapes 1x%d · %dx%d -> 1x%d",
@@ -132,7 +126,7 @@ func VerifyRowGEMM(a []complex128, b *cmatrix.Matrix, c []complex128, eps float6
 		r += cv
 	}
 	d := r - u
-	tol := eps * float64(k+n) * scale
+	tol := EpsFloat64 * float64(k+n) * scale
 	return math.Abs(real(d))+math.Abs(imag(d)) <= tol
 }
 
@@ -206,21 +200,7 @@ func (a Audit) CheckExactL2(metric float64) error {
 // re-encoded squared ℓ² residual. Negative or bound-exceeding metrics are
 // corruption.
 func (a Audit) CheckBound(metric float64) error {
-	return a.CheckBoundTol(metric, auditRelTol)
-}
-
-// AuditRelTolFP16 is the bound-check slack for half-precision decodes: their
-// metrics are assembled from binary16-rounded products, so honest results can
-// overshoot the full-precision residual by O(EpsFP16·depth)·Scale. The flips
-// worth catching move a metric by ≥25% of its magnitude (high-mantissa) or
-// its sign, both far outside this slack.
-const AuditRelTolFP16 = 64 * EpsFP16
-
-// CheckBoundTol is CheckBound with a caller-chosen relative tolerance,
-// for datapaths whose honest rounding error exceeds the default slack
-// (AuditRelTolFP16 for the half-precision GEMM path).
-func (a Audit) CheckBoundTol(metric, relTol float64) error {
-	tol := relTol * a.Scale
+	tol := a.tol()
 	if metric < 0 {
 		return fmt.Errorf("%w: negative metric %g", ErrIntegrity, metric)
 	}

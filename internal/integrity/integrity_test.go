@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cmatrix"
-	"repro/internal/quantize"
 	"repro/internal/rng"
 )
 
@@ -30,10 +29,10 @@ func TestVerifyGEMMAcceptsHonestProducts(t *testing.T) {
 			a, b := randMatrix(r, m, k), randMatrix(r, k, n)
 			c := cmatrix.NewMatrix(m, n)
 			cmatrix.GEMM(1, a, b, 0, c)
-			if !VerifyGEMM(a, b, c, EpsFloat64) {
+			if !VerifyGEMM(a, b, c) {
 				t.Fatalf("shape %dx%dx%d trial %d: clean product rejected", m, k, n, trial)
 			}
-			if m == 1 && !VerifyRowGEMM(a.Row(0), b, c.Row(0), EpsFloat64) {
+			if m == 1 && !VerifyRowGEMM(a.Row(0), b, c.Row(0)) {
 				t.Fatalf("shape %dx%dx%d trial %d: clean row product rejected", m, k, n, trial)
 			}
 		}
@@ -52,26 +51,14 @@ func TestVerifyGEMMDetectsBitFlips(t *testing.T) {
 		for j := range c.Data {
 			orig := c.Data[j]
 			c.Data[j] = complex(math.Float64frombits(math.Float64bits(real(orig))^(1<<bit)), imag(orig))
-			if VerifyGEMM(a, b, c, EpsFloat64) {
+			if VerifyGEMM(a, b, c) {
 				t.Fatalf("bit %d flip in output %d undetected", bit, j)
 			}
-			if VerifyRowGEMM(a.Row(0), b, c.Row(0), EpsFloat64) {
+			if VerifyRowGEMM(a.Row(0), b, c.Row(0)) {
 				t.Fatalf("bit %d flip in output %d undetected by row form", bit, j)
 			}
 			c.Data[j] = orig
 		}
-	}
-}
-
-// TestVerifyGEMMFP16Tolerance: products rounded through half precision must
-// pass under EpsFP16 (they would fail under EpsFloat64's tolerance).
-func TestVerifyGEMMFP16Tolerance(t *testing.T) {
-	r := rng.New(3)
-	a, b := randMatrix(r, 1, 10), randMatrix(r, 10, 4)
-	c := cmatrix.NewMatrix(1, 4)
-	quantize.GEMM(1, a, b, 0, c)
-	if !VerifyGEMM(a, b, c, EpsFP16) {
-		t.Fatal("fp16-rounded product rejected under EpsFP16")
 	}
 }
 

@@ -1,14 +1,11 @@
-// External test package: sphere imports quantize for the FP16 GEMM
-// datapath, so tests that drive a sphere decoder over quantized inputs
-// must live outside package quantize to avoid an import cycle.
+// External test package: these tests drive a sphere decoder over quantized
+// inputs through quantize's exported API only, as the precision ablation does.
 package quantize_test
 
 import (
 	"testing"
 
 	"repro/internal/constellation"
-	"repro/internal/core"
-	"repro/internal/fpga"
 	"repro/internal/mimo"
 	"repro/internal/quantize"
 	"repro/internal/rng"
@@ -44,63 +41,5 @@ func TestQuantizedProblemDecodes(t *testing.T) {
 	}
 	if errsQuant > errsFull+4 {
 		t.Fatalf("quantized path much worse: %d vs %d bit errors", errsQuant, errsFull)
-	}
-}
-
-// TestFP16PolicyBERBand pins the BER cost of the FP16 GEMM datapath at high
-// SNR through the only route that can reach it — a DecodePolicy with the
-// fp16 bit — against the identical full-precision decode. At ≥14 dB the
-// quantized child evaluation may flip the occasional borderline frame, but
-// the delta must stay inside a narrow band in both directions: half
-// precision is a complexity knob, not an accuracy cliff.
-func TestFP16PolicyBERBand(t *testing.T) {
-	cfg := mimo.Config{Tx: 6, Rx: 6, Mod: constellation.QAM4}
-	cons := constellation.New(cfg.Mod)
-	acc, err := core.New(fpga.Optimized, cfg.Mod, cfg.Tx, cfg.Rx, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := core.ParsePolicy("fp16")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const frames = 200
-	r := rng.New(29)
-	inputs := make([]core.BatchInput, frames)
-	truth := make([][]int, frames)
-	for i := range inputs {
-		f, err := mimo.GenerateFrame(r, cfg, 14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs[i] = core.BatchInput{H: f.H, Y: f.Y, NoiseVar: f.NoiseVar}
-		truth[i] = f.SymbolIdx
-	}
-
-	bitErrors := func(rep *core.BatchReport) int {
-		errs := 0
-		for i, res := range rep.Results {
-			errs += mimo.CountBitErrors(cons, truth[i], res.SymbolIdx)
-		}
-		return errs
-	}
-	exactRep, err := acc.DecodeBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp16Rep, err := acc.DecodeBatch(inputs, core.WithPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errsExact, errsFP16 := bitErrors(exactRep), bitErrors(fp16Rep)
-
-	// Band: ±8 bit flips over 2400 decoded bits (delta BER ~3e-3). A wider
-	// gap either way means the fp16 dispatch changed the search itself, not
-	// just the arithmetic.
-	bits := frames * cfg.Tx * cons.BitsPerSymbol()
-	if d := errsFP16 - errsExact; d > 8 || d < -8 {
-		t.Fatalf("fp16 policy BER delta out of band: %d vs %d bit errors over %d bits",
-			errsFP16, errsExact, bits)
 	}
 }

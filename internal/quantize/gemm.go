@@ -88,16 +88,6 @@ func MulFP16(a, b *cmatrix.Matrix, mode Precision) *cmatrix.Matrix {
 	return c
 }
 
-// GEMM computes C = alpha*A*B + beta*C with binary16 operand storage and
-// full-precision accumulation (the FP32Accumulate mode), rounding the
-// finished output back to binary16 — cmatrix.GEMMRounded with this package's
-// rounder. It is shape- and beta-compatible with cmatrix.GEMM, so the sphere
-// search's child-evaluation sites can dispatch to it behind the
-// DecodePolicy.FP16GEMM bit without changing their operand plumbing.
-func GEMM(alpha complex128, a, b *cmatrix.Matrix, beta complex128, c *cmatrix.Matrix) {
-	cmatrix.GEMMRounded(alpha, a, b, beta, c, RoundComplex)
-}
-
 // Problem is a quantized sphere-decoding input set: the channel, received
 // vector, and noise variance after an FP16 data path. Feeding it to the
 // full-precision decoder measures the BER/complexity impact of a

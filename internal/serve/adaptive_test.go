@@ -170,7 +170,7 @@ func TestPolicyHTTPRoundTrip(t *testing.T) {
 	}
 
 	// PUT a pin, confirm the echo flips everywhere.
-	req, _ := json.Marshal(PolicyUpdate{Policy: "radius-scale=2,fp16"})
+	req, _ := json.Marshal(PolicyUpdate{Policy: "radius-scale=2,max-nodes=4096"})
 	hreq, err := srv.Client().Do(mustNewRequest(t, "PUT", srv.URL+"/v1/policy", req))
 	if err != nil {
 		t.Fatal(err)
@@ -183,24 +183,27 @@ func TestPolicyHTTPRoundTrip(t *testing.T) {
 	if err := json.NewDecoder(hreq.Body).Decode(&after); err != nil {
 		t.Fatal(err)
 	}
-	if after.Mode != PolicyModeOverride || after.Policy != "radius-scale=2,fp16" {
+	if after.Mode != PolicyModeOverride || after.Policy != "radius-scale=2,max-nodes=4096" {
 		t.Fatalf("PUT echo %+v", after)
 	}
-	if body := get("/v1/config"); body["policy_mode"] != "override" || body["decode_policy"] != "radius-scale=2,fp16" {
+	if body := get("/v1/config"); body["policy_mode"] != "override" || body["decode_policy"] != "radius-scale=2,max-nodes=4096" {
 		t.Fatalf("config echo after PUT: %v / %v", body["policy_mode"], body["decode_policy"])
 	}
 
-	// A bad spelling is a 400 and changes nothing.
-	bad, _ := json.Marshal(PolicyUpdate{Policy: "norm=linf"})
-	resp, err := srv.Client().Do(mustNewRequest(t, "PUT", srv.URL+"/v1/policy", bad))
-	if err != nil {
-		t.Fatal(err)
+	// A bad spelling is a 400 and changes nothing. The retired fp16 key is
+	// one: the half-precision GEMM datapath is no longer a policy.
+	for _, spelling := range []string{"norm=linf", "radius-scale=2,fp16"} {
+		bad, _ := json.Marshal(PolicyUpdate{Policy: spelling})
+		resp, err := srv.Client().Do(mustNewRequest(t, "PUT", srv.URL+"/v1/policy", bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("bad PUT %q status %d", spelling, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad PUT status %d", resp.StatusCode)
-	}
-	if body := get("/v1/policy"); body["policy"] != "radius-scale=2,fp16" {
+	if body := get("/v1/policy"); body["policy"] != "radius-scale=2,max-nodes=4096" {
 		t.Fatalf("bad PUT mutated state: %v", body["policy"])
 	}
 }

@@ -349,23 +349,20 @@ type attemptResult struct {
 
 // auditMode selects the re-encode integrity check applied to each result of
 // a batch, derived from the batch's effective decode policy (auditModeFor):
-// the reported metric's meaning depends on the norm and datapath precision,
-// so the audit must match or honest decodes would be rejected.
+// the reported metric's meaning depends on the norm, so the audit must match
+// or honest decodes would be rejected.
 type auditMode int
 
 const (
 	// auditOff skips the re-encode audit (resilience disabled, or the
 	// DisableAudit escape hatch); only the shape/finiteness garbage checks run.
 	auditOff auditMode = iota
-	// auditExactL2: full-precision ℓ² decodes, where the metric is defined as
+	// auditExactL2: ℓ² decodes, where the metric is defined as
 	// ‖y − H·ŝ‖² of the returned point — equality within rounding tolerance.
 	auditExactL2
 	// auditBound: ℓ∞ decodes report the rotated-domain ‖·‖∞² partial
 	// distance, which is bounded by the ℓ² residual but not equal to it.
 	auditBound
-	// auditBoundFP16: half-precision decodes carry binary16 rounding error,
-	// so the bound check runs with the wider AuditRelTolFP16 slack.
-	auditBoundFP16
 )
 
 // checkReport guards against garbage and corrupted outputs: a "successful"
@@ -399,12 +396,9 @@ func checkReport(rep *core.BatchReport, inputs []core.BatchInput, mode auditMode
 		}
 		audit := integrity.ReEncode(in.H, in.Y, res.Symbols, scratch)
 		var aerr error
-		switch mode {
-		case auditBound:
+		if mode == auditBound {
 			aerr = audit.CheckBound(res.Metric)
-		case auditBoundFP16:
-			aerr = audit.CheckBoundTol(res.Metric, integrity.AuditRelTolFP16)
-		default:
+		} else {
 			aerr = audit.CheckExactL2(res.Metric)
 		}
 		if aerr != nil {
@@ -424,14 +418,10 @@ func (s *Scheduler) auditModeFor(pol *core.DecodePolicy) auditMode {
 	if pol != nil {
 		p = *pol
 	}
-	switch {
-	case p.FP16GEMM:
-		return auditBoundFP16
-	case p.Norm == sphere.NormLInf:
+	if p.Norm == sphere.NormLInf {
 		return auditBound
-	default:
-		return auditExactL2
 	}
+	return auditExactL2
 }
 
 // basePolicyer is the optional Backend facet exposing the decode policy the

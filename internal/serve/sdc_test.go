@@ -69,7 +69,6 @@ func TestCheckReportAudit(t *testing.T) {
 	}{
 		{name: "honest exact-l2", mode: auditExactL2, want: nil},
 		{name: "honest bound", mode: auditBound, want: nil},
-		{name: "honest fp16 slack", mode: auditBoundFP16, want: nil},
 		{name: "honest audit off", mode: auditOff, want: nil},
 		{
 			name: "zero metric passes bound mode", mode: auditBound, want: nil,
@@ -99,10 +98,6 @@ func TestCheckReportAudit(t *testing.T) {
 		{
 			name: "absurd finite metric bound mode", mode: auditBound, want: errIntegrityAudit,
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = residual0 + 1e6 },
-		},
-		{
-			name: "absurd metric beyond fp16 slack", mode: auditBoundFP16, want: errIntegrityAudit,
-			mutate: func(r *core.BatchReport) { r.Results[0].Metric = residual0*2 + 1e6 },
 		},
 		{
 			name: "corrupted metric with audit off", mode: auditOff, want: nil,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cmatrix"
 	"repro/internal/decoder"
 	"repro/internal/integrity"
-	"repro/internal/quantize"
 	"repro/internal/trace"
 )
 
@@ -390,11 +389,7 @@ func (s *search) evalChildrenGEMM(k int, parentPD float64, row []complex128) {
 	a := reshape(&s.gemmA, 1, depth)
 	copy(a.Row(0), row[k:s.m])
 	w := reshape(&s.gemmW, 1, s.p)
-	if s.cfg.FP16GEMM {
-		quantize.GEMM(1, a, state, 0, w)
-	} else {
-		cmatrix.GEMM(1, a, state, 0, w)
-	}
+	cmatrix.GEMM(1, a, state, 0, w)
 	if s.cfg.GEMMFault != nil && s.cfg.GEMMFault() {
 		w.Data[0] = corruptWord(w.Data[0])
 	}
@@ -434,20 +429,16 @@ func (s *search) evalChildrenGEMM(k int, parentPD float64, row []complex128) {
 // detection coverage for the transient-flip fault model is unchanged. The
 // tolerance bounds the identity's rounding with the level's precomputed
 // R-row mass: every word obeys |w_c| ≤ rowSuff·maxPtAbs, and the 2p+2
-// accumulated terms ride a generous constant so honest float64 (or fp16)
+// accumulated terms ride a generous constant so honest float64
 // rounding never trips it while an exponent/sign/high-mantissa flip does.
 // The repair path only runs on detected corruption.
 func (s *search) verifyProduct(a, state, w *cmatrix.Matrix, k, n int) {
-	eps := integrity.EpsFloat64
-	if s.cfg.FP16GEMM {
-		eps = integrity.EpsFP16
-	}
 	arow := a.Row(0)
 	wrow := w.Row(0)
 	pf := float64(s.p)
 	a0 := arow[0]
 	cterm := a0 * (s.ptsSum - complex(pf, 0)*s.pts[0])
-	tol := eps * float64(k+s.p) * 4 * pf * s.rowMass * s.maxPtAbs
+	tol := integrity.EpsFloat64 * float64(k+s.p) * 4 * pf * s.rowMass * s.maxPtAbs
 	s.counters.OtherFlops += int64(n)*2 + int64(n/s.p)*4
 	ok := true
 	for base := 0; base < n; base += s.p {
@@ -829,11 +820,7 @@ func (s *search) evalFrontierGEMM(frontier []int32, depth int) ([]float64, error
 	a := reshape(&s.gemmA, 1, blockH)
 	copy(a.Row(0), s.r.Row(k)[k:s.m])
 	w := reshape(&s.gemmW, 1, batch)
-	if s.cfg.FP16GEMM {
-		quantize.GEMM(1, a, state, 0, w)
-	} else {
-		cmatrix.GEMM(1, a, state, 0, w)
-	}
+	cmatrix.GEMM(1, a, state, 0, w)
 	if s.cfg.GEMMFault != nil && s.cfg.GEMMFault() {
 		w.Data[0] = corruptWord(w.Data[0])
 	}

@@ -187,23 +187,14 @@ type Config struct {
 	// incremental scalar recursion (the memory-bound BLAS-2 profile).
 	// Both produce identical PDs up to floating-point rounding.
 	UseGEMM bool
-	// FP16GEMM routes the batched child evaluation through the binary16
-	// GEMM emulation (internal/quantize): operands stored at half precision,
-	// accumulation in full precision, products rounded back to FP16 — the
-	// paper's proposed reduced-precision datapath. Implies UseGEMM (New
-	// forces it on) and is invalid with RealSE, whose analytic enumeration
-	// never calls a batched product. Reachable only through a
-	// core.DecodePolicy; no Options field exposes it directly.
-	FP16GEMM bool
 	// VerifyGEMM enables ABFT (algorithm-based fault tolerance) verification
 	// of every batched child evaluation: the Huang–Abraham checksum identity
 	// C·1 = A·(B·1) is checked within a norm-scaled tolerance after each
 	// product, and a mismatch — a silent bit flip in the arithmetic fabric or
 	// the output buffer — is repaired on the spot by recomputing the product
 	// with the reference kernel (counted in Counters.SDCDetected/
-	// SDCRecovered). Implies UseGEMM for the complex strategies, exactly like
-	// FP16GEMM; a no-op for RealSE, whose analytic enumeration issues no
-	// batched products (the serving layer's re-encode audit still covers it).
+	// SDCRecovered). Implies UseGEMM for the complex strategies; a no-op for
+	// RealSE, whose analytic enumeration issues no batched products (the serving layer's re-encode audit still covers it).
 	// The disabled path costs one branch per evaluation and no allocations.
 	VerifyGEMM bool
 	// GEMMFault, when non-nil, is polled once per batched child evaluation;
@@ -334,13 +325,6 @@ func New(cfg Config) (*SD, error) {
 	if cfg.Norm == NormLInf && cfg.Strategy != RealSE {
 		return nil, fmt.Errorf("sphere: NormLInf requires the RealSE strategy, got %v", cfg.Strategy)
 	}
-	if cfg.FP16GEMM {
-		if cfg.Strategy == RealSE {
-			return nil, fmt.Errorf("sphere: FP16GEMM requires a GEMM strategy, got %v", cfg.Strategy)
-		}
-		// The half-precision datapath only exists in the batched product.
-		cfg.UseGEMM = true
-	}
 	if cfg.VerifyGEMM && cfg.Strategy != RealSE {
 		// ABFT guards the batched product; verifying implies using it.
 		cfg.UseGEMM = true
@@ -383,9 +367,6 @@ func (d *SD) Name() string {
 	}
 	if d.cfg.UseGEMM {
 		n += "+GEMM"
-	}
-	if d.cfg.FP16GEMM {
-		n += "+FP16"
 	}
 	if d.cfg.VerifyGEMM && d.cfg.UseGEMM {
 		n += "+ABFT"

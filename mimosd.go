@@ -621,14 +621,14 @@ func (a *Accelerator) batchResultFrom(rep *core.BatchReport, name string) *Batch
 
 // DecodePolicy is the unified quality/cost control surface of the decode
 // stack: strategy, norm, SNR-scaled initial radius, per-frame node budget,
-// half-precision GEMM, or the linear-only escape hatch, as one comparable
+// GEMM verification, or the linear-only escape hatch, as one comparable
 // value. See core.DecodePolicy for field semantics; ParsePolicy and
 // DecodePolicy.String round-trip the one canonical spelling shared by the
 // sdserver flag, /v1/policy bodies, and sdbench study labels.
 type DecodePolicy = core.DecodePolicy
 
 // ParsePolicy parses the canonical DecodePolicy spelling ("default",
-// "linear", "strategy=rvd-se,norm=linf", "radius-scale=2,max-nodes=4096,fp16",
+// "linear", "strategy=rvd-se,norm=linf", "radius-scale=2,max-nodes=4096",
 // ...).
 func ParsePolicy(s string) (DecodePolicy, error) { return core.ParsePolicy(s) }
 

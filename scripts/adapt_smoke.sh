@@ -27,46 +27,29 @@
 #      PUT "adaptive" restores the controller and exact decodes return.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 port=${SDADAPT_PORT:-18240}
 addr="127.0.0.1:$port"
 rounds=${ADAPT_ROUNDS:-3}
 p99_factor=${ADAPT_P99_FACTOR:-1.10}
 p99_slack=${ADAPT_P99_SLACK_NS:-1500000}
 node_budget=${ADAPT_FIXED_BUDGET:-40}
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    [ -n "$server_pid" ] && wait "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 start_server() { # start_server <logname> [extra flags...]
     local log="$1"; shift
     "$tmp/sdserver" -addr "$addr" -workers 1 -max-batch 16 -max-wait 1ms "$@" \
         2> "$tmp/$log.log" &
     server_pid=$!
-    local up=""
-    for _ in $(seq 1 100); do
-        if curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then up=1; break; fi
-        sleep 0.1
-    done
-    [ "${up:-}" = 1 ] || {
+    track "$server_pid"
+    wait_healthz "$addr" || {
         echo "adapt-smoke: sdserver never came up" >&2
         cat "$tmp/$log.log" >&2
         exit 1
     }
 }
-stop_server() {
-    kill "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null || true
-    server_pid=""
-}
+stop_server() { stop "$server_pid"; }
 
 run_load() { # run_load <outfile> -> mobility-aging through the live server
     "$tmp/sdload" -addr "http://$addr" -scenario mobility-aging -seed 1 \
@@ -77,10 +60,6 @@ run_load() { # run_load <outfile> -> mobility-aging through the live server
     }
 }
 
-field() { # field <json> <key> -> first numeric value of "key"
-    grep -o "\"$2\": *[0-9.e+-]*" "$1" | head -1 | sed 's/.*: *//'
-}
-
 # ---- A. fixed baseline: static node budget, N rounds --------------------
 fixed_exact="" fixed_p99=""
 for i in $(seq 1 "$rounds"); do
@@ -88,8 +67,8 @@ for i in $(seq 1 "$rounds"); do
     run_load "$tmp/warmup.json" # discarded: absorb cold-start costs
     run_load "$tmp/fixed$i.json"
     stop_server
-    e=$(field "$tmp/fixed$i.json" exact_fraction)
-    p=$(field "$tmp/fixed$i.json" p99_ns)
+    e=$(json_field "$tmp/fixed$i.json" exact_fraction)
+    p=$(json_field "$tmp/fixed$i.json" p99_ns)
     echo "adapt-smoke: fixed round $i: exact $e, p99 ${p}ns"
     # best fixed round: highest exact fraction, lowest p99
     fixed_exact=$(awk -v a="${fixed_exact:-0}" -v b="$e" 'BEGIN { print (b > a) ? b : a }')
@@ -109,8 +88,8 @@ for i in $(seq 1 "$rounds"); do
     run_load "$tmp/warmup.json" # discarded: absorb cold-start costs
     run_load "$tmp/adapt$i.json"
     [ "$i" -lt "$rounds" ] && stop_server
-    e=$(field "$tmp/adapt$i.json" exact_fraction)
-    p=$(field "$tmp/adapt$i.json" p99_ns)
+    e=$(json_field "$tmp/adapt$i.json" exact_fraction)
+    p=$(json_field "$tmp/adapt$i.json" p99_ns)
     echo "adapt-smoke: adaptive round $i: exact $e, p99 ${p}ns"
     # worst adaptive round: lowest exact fraction; min p99 for the envelope
     adapt_exact=$(awk -v a="${adapt_exact:-1e18}" -v b="$e" 'BEGIN { print (b < a) ? b : a }')
@@ -149,7 +128,7 @@ curl -fsS "http://$addr/v1/config" | grep -q '"decode_policy":"linear"' || {
     exit 1
 }
 run_load "$tmp/pinned.json"
-pinned_exact=$(field "$tmp/pinned.json" exact_fraction)
+pinned_exact=$(json_field "$tmp/pinned.json" exact_fraction)
 awk -v e="$pinned_exact" 'BEGIN { exit !(e == 0) }' || {
     echo "adapt-smoke: pinned-linear server still served exact decodes ($pinned_exact)" >&2
     exit 1
@@ -162,7 +141,7 @@ grep -q '"mode":"adaptive"' "$tmp/resume.json" || {
     exit 1
 }
 run_load "$tmp/resumed.json"
-resumed_exact=$(field "$tmp/resumed.json" exact_fraction)
+resumed_exact=$(json_field "$tmp/resumed.json" exact_fraction)
 awk -v e="$resumed_exact" -v f="$fixed_exact" 'BEGIN { exit !(e > f) }' || {
     echo "adapt-smoke: resumed controller exact $resumed_exact not above fixed $fixed_exact" >&2
     exit 1

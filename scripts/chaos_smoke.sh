@@ -15,19 +15,10 @@
 # give-up state) is unit-tested separately; this smoke certifies recovery.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 addr="127.0.0.1:${SDSERVER_PORT:-18103}"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 # Roughly one backend call in three faults until the plan has rolled 400
 # calls, then it goes quiet. Tight breaker cooldowns so open→probe→reclose
@@ -40,6 +31,7 @@ go build -o "$tmp/sdload" ./cmd/sdload
     -max-restarts 200 \
     2> "$tmp/server.log" &
 pid=$!
+track "$pid"
 
 # Wave 1: load through the storm. -min-ok proves liveness; the
 # transport_errors check proves nothing was dropped on the floor.
@@ -62,15 +54,7 @@ grep -q '"transport_errors": 0' "$tmp/calm.json" || {
 }
 
 # Health must have recovered: /healthz answers 200 with status ok.
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS "http://$addr/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
-        up=1
-        break
-    fi
-    sleep 0.1
-done
-[ "${up:-}" = 1 ] || {
+wait_healthz "$addr" ok 50 || {
     echo "chaos-smoke: health never returned to ok after the storm" >&2
     curl -sS "http://$addr/healthz" >&2 || true
     exit 1
@@ -90,9 +74,7 @@ panics=$(awk '$1 == "mimosd_worker_panics_total" {print int($2)}' "$tmp/metrics.
 }
 
 # Graceful drain: SIGINT stops the server cleanly and it logs final stats.
-kill -INT "$pid"
-wait "$pid"
-pid=""
+drain "$pid"
 grep -q 'final stats' "$tmp/server.log" || {
     echo "chaos-smoke: server did not log final stats on drain" >&2
     cat "$tmp/server.log" >&2

@@ -21,29 +21,12 @@
 # printed so a regression is visible even while the gates stay lenient.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 base=${SDCLUSTER_PORT:-18120}
 shard_addrs=()
 shard_urls=()
-pids=()
-proxy_pid=""
-cleanup() {
-    [ -n "$proxy_pid" ] && kill "$proxy_pid" 2>/dev/null || true
-    [ -n "$proxy_pid" ] && wait "$proxy_pid" 2>/dev/null || true
-    for p in "${pids[@]:-}"; do
-        [ -n "$p" ] && kill "$p" 2>/dev/null || true
-    done
-    for p in "${pids[@]:-}"; do
-        [ -n "$p" ] && wait "$p" 2>/dev/null || true
-    done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdproxy" ./cmd/sdproxy
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdproxy sdload
 
 # Heavier frames (8x8 16-QAM) make the decode — not HTTP plumbing — the
 # dominant per-frame cost; one worker per shard keeps the per-shard QR
@@ -56,7 +39,7 @@ for i in 0 1 2 3; do
     "$tmp/sdserver" -addr "$addr" "${shape[@]}" -workers 1 \
         -max-batch 8 -max-wait 500us -policy shed-to-linear \
         2> "$tmp/shard$i.log" &
-    pids+=($!)
+    track $!
 done
 # Scaling shards: service time is a deterministic injected 8ms stall per
 # frame (sleep, not CPU), so capacity grows with shard count even on a
@@ -71,15 +54,10 @@ for i in 0 1 2; do
         -max-batch 1 -max-wait 200us -policy shed-to-linear \
         -chaos "stall=1,stall-for=8ms" -chaos-seed 3 \
         2> "$tmp/scaleshard$i.log" &
-    pids+=($!)
+    track $!
 done
 for addr in "${shard_addrs[@]}" "${scale_addrs[@]}"; do
-    up=""
-    for _ in $(seq 1 100); do
-        if curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then up=1; break; fi
-        sleep 0.1
-    done
-    [ "${up:-}" = 1 ] || { echo "cluster-smoke: shard $addr never came up" >&2; exit 1; }
+    wait_healthz "$addr" || { echo "cluster-smoke: shard $addr never came up" >&2; exit 1; }
 done
 
 ring3="${shard_urls[0]},${shard_urls[1]},${shard_urls[2]}"
@@ -88,29 +66,14 @@ proxy_addr="127.0.0.1:$((base + 10))"
 start_proxy() { # start_proxy <args...>; sets proxy_pid
     "$tmp/sdproxy" -addr "$proxy_addr" "$@" 2> "$tmp/proxy.log" &
     proxy_pid=$!
-    local up=""
-    for _ in $(seq 1 100); do
-        if curl -fsS "http://$proxy_addr/healthz" >/dev/null 2>&1; then up=1; break; fi
-        sleep 0.1
-    done
-    [ "${up:-}" = 1 ] || {
+    track "$proxy_pid"
+    wait_healthz "$proxy_addr" || {
         echo "cluster-smoke: sdproxy never came up" >&2
         cat "$tmp/proxy.log" >&2
         exit 1
     }
 }
-stop_proxy() {
-    kill "$proxy_pid" 2>/dev/null || true
-    wait "$proxy_pid" 2>/dev/null || true
-    proxy_pid=""
-}
-
-json_field() { # json_field <file> <key>  -> first integer value of "key"
-    tr ',{}' '\n' < "$1" | grep "\"$2\"" | head -1 | grep -o '[0-9][0-9]*' | head -1
-}
-rps() { # rps <sdload-json>
-    tr ',{}' '\n' < "$1" | grep '"throughput_rps"' | head -1 | sed 's/.*: *//'
-}
+stop_proxy() { stop "$proxy_pid"; }
 cache_totals() { # cache_totals -> "hits misses" summed over the 3 ring shards
     local h=0 m=0 a f
     for a in "${shard_addrs[@]:0:3}"; do
@@ -130,8 +93,8 @@ stop_proxy
 start_proxy -shards "$scale_ring" -replicas 2 -routing scatter
 "$tmp/sdload" -addr "http://$proxy_addr" -duration 2s -conc 24 -pool 64 \
     -min-ok 1 -patience 10s -seed 21 -json > "$tmp/three.json"
-one=$(rps "$tmp/one.json")
-three=$(rps "$tmp/three.json")
+one=$(json_field "$tmp/one.json" throughput_rps)
+three=$(json_field "$tmp/three.json" throughput_rps)
 min_scale=${CLUSTER_MIN_SCALE:-1.2}
 scale=$(awk -v a="$three" -v b="$one" 'BEGIN { printf "%.2f", (b > 0 ? a / b : 0) }')
 echo "cluster-smoke: scaling 1->3 shards: ${one%%.*} -> ${three%%.*} rps (x$scale, gate x$min_scale)"
@@ -193,15 +156,7 @@ breaker=$(json_field "$tmp/proxymetrics.json" breaker_skips)
     echo "cluster-smoke: the storm never forced a failover or skip (failovers=$failovers dark=$dark breaker=$breaker)" >&2
     exit 1
 }
-up=""
-for _ in $(seq 1 100); do
-    if curl -fsS "http://$proxy_addr/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
-        up=1
-        break
-    fi
-    sleep 0.1
-done
-[ "${up:-}" = 1 ] || {
+wait_healthz "$proxy_addr" ok || {
     echo "cluster-smoke: cluster health never returned to ok after the storm" >&2
     curl -sS "http://$proxy_addr/healthz" >&2 || true
     exit 1
@@ -234,7 +189,7 @@ echo "cluster-smoke: join/leave cycled a fourth shard with zero drops"
 # ---- 5. graceful drain ---------------------------------------------------
 kill -INT "$proxy_pid"
 wait "$proxy_pid" 2>/dev/null || true
-proxy_pid=""
+untrack "$proxy_pid"
 grep -q 'final stats' "$tmp/proxy.log" || {
     echo "cluster-smoke: sdproxy did not log final stats on drain" >&2
     cat "$tmp/proxy.log" >&2

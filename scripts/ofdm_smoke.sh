@@ -21,45 +21,24 @@
 # adds the cache-rate assertions on top.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 port=${SDOFDM_PORT:-18220}
 addr="127.0.0.1:$port"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    [ -n "$server_pid" ] && wait "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 start_server() { # start_server <logname>
     "$tmp/sdserver" -addr "$addr" -workers 1 -max-batch 16 -max-wait 1ms \
         2> "$tmp/$1.log" &
     server_pid=$!
-    local up=""
-    for _ in $(seq 1 100); do
-        if curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then up=1; break; fi
-        sleep 0.1
-    done
-    [ "${up:-}" = 1 ] || {
+    track "$server_pid"
+    wait_healthz "$addr" || {
         echo "ofdm-smoke: sdserver never came up" >&2
         cat "$tmp/$1.log" >&2
         exit 1
     }
 }
-stop_server() {
-    kill "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null || true
-    server_pid=""
-}
-
-hit_rate() { # hit_rate <sdload-json> -> per-scenario qr_cache_hit_rate
-    grep -o '"qr_cache_hit_rate": *[0-9.e-]*' "$1" | head -1 | sed 's/.*: *//'
-}
+stop_server() { stop "$server_pid"; }
 
 run_scenario() { # run_scenario <name> <outfile>
     "$tmp/sdload" -addr "http://$addr" -scenario "$1" -seed 1 -conc 8 \
@@ -81,7 +60,7 @@ max_incoherent=${OFDM_MAX_INCOHERENT_RATE:-0.30}
 # ---- 1. coherent grid: SLOs pass, cache runs hot ------------------------
 start_server static
 run_scenario static-dense "$tmp/static.json"
-coherent_rate=$(hit_rate "$tmp/static.json")
+coherent_rate=$(json_field "$tmp/static.json" qr_cache_hit_rate)
 stop_server
 echo "ofdm-smoke: static-dense SLO ok, QR-cache hit rate $coherent_rate (gate >= $min_coherent)"
 awk -v r="$coherent_rate" -v g="$min_coherent" 'BEGIN { exit !(r >= g) }' || {
@@ -92,7 +71,7 @@ awk -v r="$coherent_rate" -v g="$min_coherent" 'BEGIN { exit !(r >= g) }' || {
 # ---- 2. incoherent control: SLOs pass, cache stays cold -----------------
 start_server incoherent
 run_scenario incoherent-control "$tmp/incoherent.json"
-incoherent_rate=$(hit_rate "$tmp/incoherent.json")
+incoherent_rate=$(json_field "$tmp/incoherent.json" qr_cache_hit_rate)
 stop_server
 echo "ofdm-smoke: incoherent-control SLO ok, QR-cache hit rate $incoherent_rate (gate < $max_incoherent)"
 awk -v r="$incoherent_rate" -v g="$max_incoherent" 'BEGIN { exit !(r < g) }' || {

@@ -9,17 +9,9 @@
 #      the engine on /v1/config and decode live sdload traffic with it.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 port=${SDRVD_PORT:-18230}
 addr="127.0.0.1:$port"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    [ -n "$server_pid" ] && wait "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
 min_speedup=${RVD_MIN_SPEEDUP:-1.3}
 
@@ -29,18 +21,12 @@ go run ./cmd/sdbench -study rvd -out "$tmp/bench.json" \
 echo "rvd-smoke: sdbench gate ok (>= ${min_speedup}x, 0 compare ops, 0 allocs)"
 
 # ---- 2. serving wire-up: the engine is selectable and serves traffic -----
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 "$tmp/sdserver" -addr "$addr" -workers 1 -strategy rvd-se -norm linf \
     2> "$tmp/server.log" &
-server_pid=$!
-up=""
-for _ in $(seq 1 100); do
-    if curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then up=1; break; fi
-    sleep 0.1
-done
-[ "${up:-}" = 1 ] || {
+track $!
+wait_healthz "$addr" || {
     echo "rvd-smoke: sdserver never came up" >&2
     cat "$tmp/server.log" >&2
     exit 1

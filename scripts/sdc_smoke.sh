@@ -25,19 +25,10 @@
 # out of the way so the single worker survives the whole storm.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 addr="127.0.0.1:${SDSERVER_PORT:-18104}"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 # One worker keeps the shared fault plan's roll stream serial (and so
 # deterministic for a given seed); the rates land roughly one corruption
@@ -51,6 +42,7 @@ go build -o "$tmp/sdload" ./cmd/sdload
     -sdc-quarantine 100000 \
     2> "$tmp/server.log" &
 pid=$!
+track "$pid"
 
 # Wave 1: the coherent OFDM grid through the storm. The exit status IS
 # the no-corrupt-frames-served assertion: runScenario fails on any SLO
@@ -80,15 +72,7 @@ grep -q '"transport_errors": 0' "$tmp/calm.json" || {
 }
 
 # Health must have recovered once the plan went quiet.
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS "http://$addr/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
-        up=1
-        break
-    fi
-    sleep 0.1
-done
-[ "${up:-}" = 1 ] || {
+wait_healthz "$addr" ok 50 || {
     echo "sdc-smoke: health never returned to ok after the SDC storm" >&2
     curl -sS "http://$addr/healthz" >&2 || true
     exit 1
@@ -121,9 +105,7 @@ done
 }
 
 # Graceful drain; the final stats line carries the plan's ground truth.
-kill -INT "$pid"
-wait "$pid"
-pid=""
+drain "$pid"
 final=$(grep 'final stats' "$tmp/server.log") || {
     echo "sdc-smoke: server did not log final stats on drain" >&2
     cat "$tmp/server.log" >&2

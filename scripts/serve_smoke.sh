@@ -4,22 +4,14 @@
 # sdload itself waits for the server to come up (-patience).
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 addr="127.0.0.1:${SDSERVER_PORT:-18099}"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdload" ./cmd/sdload
+build sdserver sdload
 
 "$tmp/sdserver" -addr "$addr" -max-batch 16 -max-wait 1ms -workers 2 &
 pid=$!
+track "$pid"
 
 "$tmp/sdload" -addr "http://$addr" -duration 2s -conc 8 -min-ok 1 -patience 10s \
     | tee "$tmp/sdload.out"
@@ -32,7 +24,5 @@ grep -q 'server .*gc pause' "$tmp/sdload.out" || {
 }
 
 # Graceful drain: SIGINT must stop the server cleanly.
-kill -INT "$pid"
-wait "$pid"
-pid=""
+drain "$pid"
 echo "serve-smoke: OK"

@@ -6,22 +6,14 @@
 # recorder → hub → /v1/trace → capture → summary.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 addr="127.0.0.1:${SDSERVER_PORT:-18101}"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
 
-go build -o "$tmp/sdserver" ./cmd/sdserver
-go build -o "$tmp/sdtrace" ./cmd/sdtrace
+build sdserver sdtrace
 
 "$tmp/sdserver" -addr "$addr" -max-batch 8 -max-wait 1ms -workers 2 &
 pid=$!
+track "$pid"
 
 # Wait for the server to accept config requests.
 for _ in $(seq 1 100); do
@@ -60,7 +52,5 @@ grep -q 'counter self-check OK' "$tmp/summary.out" || {
 }
 
 # Graceful drain.
-kill -INT "$pid"
-wait "$pid"
-pid=""
+drain "$pid"
 echo "trace-smoke: OK"
