@@ -84,6 +84,16 @@ type Report struct {
 	RVDSECompareOps int64      `json:"rvd_se_compare_ops"`
 	LInf            FrameStats `json:"linf_single_frame"`
 	LInfSpeedup     float64    `json:"linf_speedup"`
+	// The 16-QAM row prices sdserver's QR-cache-miss regime: one op is a
+	// 16-frame batch of distinct 10x10 16-QAM channels through
+	// core.Accelerator with the cross-batch cache off, so every frame pays
+	// its own QR. rvd-se (the default square-QAM serving engine) runs
+	// against scalar complex SortedDFS in-run; the speedup is SortedDFS ns /
+	// rvd-se ns.
+	RVDSE16QAMWorkload string     `json:"rvd_se_16qam_workload,omitempty"`
+	RVDSE16QAM         FrameStats `json:"rvd_se_16qam_batch"`
+	SortedDFS16QAM     FrameStats `json:"sorted_dfs_16qam_batch"`
+	RVDSE16QAMSpeedup  float64    `json:"rvd_se_16qam_speedup"`
 
 	// LInfBER pins the ℓ∞ criterion's BER cost against the exact ℓ² decoder
 	// at low and high SNR (seeded Monte-Carlo, identical channels).
@@ -183,6 +193,24 @@ func coherenceBlock(seed uint64, n, m, frames int, snrDB float64) []core.BatchIn
 	inputs := make([]core.BatchInput, frames)
 	for i := range inputs {
 		s := make(cmatrix.Vector, m)
+		for j := range s {
+			s[j] = c.Symbol(r.Intn(c.Size()))
+		}
+		inputs[i] = core.BatchInput{H: h, Y: channel.Transmit(r, h, s, nv), NoiseVar: nv}
+	}
+	return inputs
+}
+
+// rayleigh16QAM draws frames independent 10x10 16-QAM transmissions at
+// 14 dB, each over its own Rayleigh channel.
+func rayleigh16QAM(seed uint64, frames int) []core.BatchInput {
+	r := rng.New(seed)
+	c := constellation.New(constellation.QAM16)
+	nv := channel.NoiseVariance(channel.PerTransmitSymbol, 14, 10)
+	inputs := make([]core.BatchInput, frames)
+	for i := range inputs {
+		h := channel.Rayleigh(r, 10, 10)
+		s := make(cmatrix.Vector, 10)
 		for j := range s {
 			s[j] = c.Symbol(r.Intn(c.Size()))
 		}
@@ -322,6 +350,32 @@ func main() {
 		if rep.LInf.NsPerOp > 0 {
 			rep.LInfSpeedup = rep.SingleFrame.NsPerOp / rep.LInf.NsPerOp
 		}
+
+		const batches, batchFrames = 4, 16
+		rep.RVDSE16QAMWorkload = fmt.Sprintf("%dx%d-frame batches of distinct 10x10 16-QAM Rayleigh channels, 14 dB, "+
+			"cold QR cache, op = one %d-frame batch; rvd-se vs scalar SortedDFS in-run", batches, batchFrames, batchFrames)
+		frames := rayleigh16QAM(83, batches*batchFrames)
+		groups := make([][]core.BatchInput, batches)
+		for g := range groups {
+			groups[g] = frames[g*batchFrames : (g+1)*batchFrames]
+		}
+		benchCold := func(strat sphere.Strategy) FrameStats {
+			acc := core.MustNew(fpga.Optimized, constellation.QAM16, 10, 10,
+				core.Options{ScalarEval: true, Strategy: strat, PreprocessCacheEntries: -1})
+			return stats(testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := acc.DecodeBatch(groups[i%batches]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}))
+		}
+		rep.RVDSE16QAM = benchCold(sphere.RealSE)
+		rep.SortedDFS16QAM = benchCold(sphere.SortedDFS)
+		if rep.RVDSE16QAM.NsPerOp > 0 {
+			rep.RVDSE16QAMSpeedup = rep.SortedDFS16QAM.NsPerOp / rep.RVDSE16QAM.NsPerOp
+		}
 	}
 
 	// --- ℓ∞ BER cost --------------------------------------------------------
@@ -446,18 +500,7 @@ func main() {
 		rep.AdaptWorkload = fmt.Sprintf("%d independent 10x10 16-QAM frames, 14 dB, per-rung DecodePolicy; "+
 			"one warm pass fills the QR cache, then each rung is the median of %d passes, all cache hits",
 			adaptFrames, adaptPasses)
-		r := rng.New(97)
-		cq := constellation.New(constellation.QAM16)
-		nv := channel.NoiseVariance(channel.PerTransmitSymbol, 14, 10)
-		inputs := make([]core.BatchInput, adaptFrames)
-		for i := range inputs {
-			h := channel.Rayleigh(r, 10, 10)
-			s := make(cmatrix.Vector, 10)
-			for j := range s {
-				s[j] = cq.Symbol(r.Intn(cq.Size()))
-			}
-			inputs[i] = core.BatchInput{H: h, Y: channel.Transmit(r, h, s, nv), NoiseVar: nv}
-		}
+		inputs := rayleigh16QAM(97, adaptFrames)
 		acc := core.MustNew(fpga.Optimized, constellation.QAM16, 10, 10, core.Options{})
 		if _, err := acc.DecodeBatch(inputs); err != nil {
 			fatal(fmt.Errorf("adapt warm pass: %w", err))
@@ -510,6 +553,9 @@ func main() {
 		fmt.Printf("rvd-se: %.0f ns/op (%d allocs) -> %.2fx vs complex %.0f ns/op; linf %.0f ns/op -> %.2fx; compare ops %d\n",
 			rep.RVDSE.NsPerOp, rep.RVDSE.AllocsPerOp, rep.RVDSESpeedup, rep.SingleFrame.NsPerOp,
 			rep.LInf.NsPerOp, rep.LInfSpeedup, rep.RVDSECompareOps)
+		fmt.Printf("rvd-se 16-qam cold batch: %.0f ns/op (%d B/op) -> %.2fx vs sorted-dfs %.0f ns/op (%d B/op)\n",
+			rep.RVDSE16QAM.NsPerOp, rep.RVDSE16QAM.BytesPerOp, rep.RVDSE16QAMSpeedup,
+			rep.SortedDFS16QAM.NsPerOp, rep.SortedDFS16QAM.BytesPerOp)
 	}
 	if sel["ber"] {
 		for _, p := range rep.LInfBER {

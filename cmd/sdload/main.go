@@ -250,8 +250,18 @@ func fetchConfig(client *http.Client, addr string, patience time.Duration) (*ser
 	}
 }
 
-// fetchMetrics grabs one Stats snapshot from GET /metrics.
-func fetchMetrics(client *http.Client, addr string) (*serve.Stats, error) {
+// targetMetrics is the part of a GET /metrics body sdload reads. Decoding
+// only these fields lets the fetch work against sdproxy too, whose /metrics
+// differs from a shard's elsewhere (sdc_detected is a total there and a
+// per-site map on a shard).
+type targetMetrics struct {
+	GCPauseNs         uint64                         `json:"go_gc_pause_ns"`
+	DecodeAllocsPerOp float64                        `json:"decode_allocs_per_op"`
+	Scenarios         map[string]serve.ScenarioStats `json:"scenarios"`
+}
+
+// fetchMetrics grabs one metrics snapshot from GET /metrics.
+func fetchMetrics(client *http.Client, addr string) (*targetMetrics, error) {
 	resp, err := client.Get(addr + "/metrics")
 	if err != nil {
 		return nil, err
@@ -261,7 +271,7 @@ func fetchMetrics(client *http.Client, addr string) (*serve.Stats, error) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("metrics endpoint: HTTP %d", resp.StatusCode)
 	}
-	var st serve.Stats
+	var st targetMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, err
 	}

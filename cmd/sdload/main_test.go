@@ -1,9 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
 func TestPercentile(t *testing.T) {
@@ -62,5 +67,37 @@ func TestSummarizeEmpty(t *testing.T) {
 	s := summarize(nil, 0)
 	if s.Requests != 0 || s.Throughput != 0 || s.P99 != 0 || s.MeanBatchSize != 0 {
 		t.Fatalf("empty summary %+v", s)
+	}
+}
+
+// TestFetchMetricsShapes: the metrics fetch reads a shard's /metrics and
+// also sdproxy's, whose sdc_detected is a number where a shard's is a
+// per-site map.
+func TestFetchMetricsShapes(t *testing.T) {
+	bodies := map[string]any{
+		"shard": serve.Stats{
+			GCPauseNs: 1234, DecodeAllocsPerOp: 2.5,
+			SDCDetected: map[string]uint64{"gemm": 1},
+			Scenarios:   map[string]serve.ScenarioStats{"grid": {QRCacheHits: 7, QRCacheMisses: 1}},
+		},
+		"proxy": cluster.Stats{
+			Health: "ok", SDCDetected: 3,
+			Scenarios: map[string]cluster.ScenarioStats{"grid": {Submitted: 8, OK: 8}},
+		},
+	}
+	for name, body := range bodies {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if err := json.NewEncoder(w).Encode(body); err != nil {
+				t.Error(err)
+			}
+		}))
+		st, err := fetchMetrics(srv.Client(), srv.URL)
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "shard" && (st.GCPauseNs != 1234 || st.DecodeAllocsPerOp != 2.5 || st.Scenarios["grid"].QRCacheHits != 7) {
+			t.Errorf("shard metrics read as %+v", st)
+		}
 	}
 }

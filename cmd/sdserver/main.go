@@ -126,7 +126,10 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	strat, err := sphere.ParseStrategy(o.strategy)
+	// The rvd-se engine and the rvd-se adaptive rung need a square-QAM PAM
+	// decomposition; gate them the same way sphere.New does.
+	squareQAM := constellation.New(mod).PAMLevels() != nil
+	strat, err := resolveStrategy(o.strategy, o.verifyGEMM, squareQAM)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -147,9 +150,6 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 		if fixedPolicy != nil {
 			return nil, nil, nil, fmt.Errorf("-adaptive and -decode-policy are mutually exclusive (pin at runtime via PUT /v1/policy instead)")
 		}
-		// The rvd-se rung needs a square-QAM PAM decomposition; gate it the
-		// same way sphere.New does.
-		squareQAM := constellation.New(mod).PAMLevels() != nil
 		controller, err = adapt.NewController(adapt.Config{
 			Levels:      adapt.DefaultLevels(squareQAM, o.nodeBudget),
 			NodeCeiling: o.adaptNodeCeiling,
@@ -244,6 +244,28 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	return s, handler, sdcPlan, nil
 }
 
+// resolveStrategy picks the serving engine. An explicit -strategy wins; an
+// empty one means the real-valued Schnorr–Euchner engine for square QAM
+// (exact and comparator-free) and the complex sorted DFS otherwise. The
+// GEMM verification of -verify-gemm only exists on the complex engines, so
+// it keeps an empty -strategy on sorted-dfs and refuses rvd-se.
+func resolveStrategy(name string, verifyGEMM, squareQAM bool) (sphere.Strategy, error) {
+	if name == "" {
+		if squareQAM && !verifyGEMM {
+			return sphere.RealSE, nil
+		}
+		return sphere.SortedDFS, nil
+	}
+	strat, err := sphere.ParseStrategy(name)
+	if err != nil {
+		return 0, err
+	}
+	if verifyGEMM && strat == sphere.RealSE {
+		return 0, fmt.Errorf("-verify-gemm checks GEMM products, which -strategy %s does not compute", name)
+	}
+	return strat, nil
+}
+
 func main() {
 	var (
 		addr = flag.String("addr", ":8080", "listen address")
@@ -261,7 +283,7 @@ func main() {
 	flag.DurationVar(&o.deadline, "batch-deadline", 0, "modeled-time budget per dispatched batch (0 = none)")
 	flag.Int64Var(&o.nodeBudget, "node-budget", 0, "tree-expansion budget per dispatched batch (0 = none)")
 	flag.BoolVar(&o.scalarEval, "scalar-eval", true, "use the scalar evaluation path (identical decodes, faster in simulation)")
-	flag.StringVar(&o.strategy, "strategy", "", "tree-search strategy: sorted-dfs (default), plain-dfs, best-fs, bfs, fsd, rvd-se")
+	flag.StringVar(&o.strategy, "strategy", "", "tree-search strategy: sorted-dfs, plain-dfs, best-fs, bfs, fsd, rvd-se (default: rvd-se for square QAM without -verify-gemm, else sorted-dfs)")
 	flag.StringVar(&o.norm, "norm", "", "partial-distance norm: l2 (default) or linf (requires -strategy rvd-se)")
 	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096 (empty = backend default)")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the adaptive complexity controller (per-class policy from SNR, node cost, and queue depth)")

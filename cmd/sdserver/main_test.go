@@ -17,8 +17,11 @@ func defaultOptions() options {
 	}
 }
 
-func TestBuildServer(t *testing.T) {
-	sched, handler, _, err := buildServer(defaultOptions())
+// serverConfig builds a server from o and returns what its /v1/config
+// advertises.
+func serverConfig(t *testing.T, o options) serve.ConfigInfo {
+	t.Helper()
+	sched, handler, _, err := buildServer(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +38,46 @@ func TestBuildServer(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
+	if !sched.Healthy() {
+		t.Fatal("fresh server not healthy")
+	}
+	return info
+}
+
+func TestBuildServer(t *testing.T) {
+	info := serverConfig(t, defaultOptions())
 	if info.TxAntennas != 4 || info.Modulation != "4-QAM" || info.Policy != "reject" || info.MaxBatch != 8 {
 		t.Fatalf("config %+v", info)
 	}
-	if !sched.Healthy() {
-		t.Fatal("fresh server not healthy")
+	// With no -strategy, square QAM is served by the real-valued SE engine
+	// and everything else by the complex sorted DFS.
+	for mod, want := range map[string]string{"qpsk": "SD-RVD-SE", "16qam": "SD-RVD-SE", "bpsk": "SD-SortedDFS"} {
+		o := defaultOptions()
+		o.mod = mod
+		if got := serverConfig(t, o).Strategy; got != want {
+			t.Errorf("%s: default strategy %q, want %q", mod, got, want)
+		}
+	}
+	o := defaultOptions()
+	o.strategy = "sorted-dfs"
+	if got := serverConfig(t, o).Strategy; got != "SD-SortedDFS" {
+		t.Errorf("explicit sorted-dfs advertised %q", got)
+	}
+}
+
+// TestVerifyGEMMKeepsGEMMEngine: -verify-gemm without -strategy keeps the
+// complex sorted DFS, whose GEMM products it verifies, and -verify-gemm
+// with -strategy rvd-se is refused rather than silently verifying nothing.
+func TestVerifyGEMMKeepsGEMMEngine(t *testing.T) {
+	o := defaultOptions()
+	o.verifyGEMM = true
+	if got := serverConfig(t, o).Strategy; got != "SD-SortedDFS" {
+		t.Errorf("-verify-gemm default strategy %q, want SD-SortedDFS", got)
+	}
+	o.strategy = "rvd-se"
+	if sched, _, _, err := buildServer(o); err == nil {
+		sched.Close()
+		t.Fatal("-verify-gemm -strategy rvd-se accepted")
 	}
 }
 

@@ -475,7 +475,7 @@ func legacy(args []string) {
 			depthPop[d] += n
 		}
 		if firstTrajectory == nil {
-			firstTrajectory = info.RadiusTrajectory(*tx)
+			firstTrajectory = info.RadiusTrajectory()
 		}
 		if *csv {
 			fmt.Printf("%d,%d,%d,%d,%d,%d,%d,%g\n", i, c.NodesExpanded, c.LeavesReached,

@@ -189,7 +189,9 @@ func TestSortChildrenMatchesStableSort(t *testing.T) {
 
 // TestDecodeZeroAllocSteadyState pins the zero-allocation contract of the
 // pooled SortedDFS+GEMM hot path: after warm-up, a decode through a shared
-// Preprocessed handle into a reused Result must not allocate.
+// Preprocessed handle into a reused Result must not allocate — also when a
+// heavy frame precedes the light ones, since the LIFO search's MST never
+// outgrows its bounded arena.
 func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		// The race detector intentionally drops a fraction of sync.Pool
@@ -199,38 +201,71 @@ func TestDecodeZeroAllocSteadyState(t *testing.T) {
 	}
 	r := rng.New(46)
 	c := constellation.New(constellation.QAM4)
+	light := newAllocFrame(t, r, c, 6, 6, 10)
+	heavy := heavyAllocFrame(t, c)
 	for _, useGEMM := range []bool{false, true} {
 		d := MustNew(Config{Const: c, Strategy: SortedDFS, UseGEMM: useGEMM})
-		h, y, nv, _ := makeInstance(r, c, 6, 6, 10)
-		pre, err := Preprocess(h)
-		if err != nil {
-			t.Fatal(err)
+		if got := steadyStateAllocs(t, d, light); got != 0 {
+			t.Errorf("gemm=%v: %v allocs/op in steady state, want 0", useGEMM, got)
 		}
-		var res decoder.Result
-		// Warm the pools and the result buffers.
-		for i := 0; i < 4; i++ {
-			if err := d.DecodePreInto(pre, y, nv, 0, &res); err != nil {
+		if got := steadyStateAllocs(t, d, heavy, light, light); got != 0 {
+			t.Errorf("gemm=%v: %v allocs per heavy+light pass, want 0", useGEMM, got)
+		}
+	}
+}
+
+// allocFrame is one preprocessed detection problem for the allocation pins.
+type allocFrame struct {
+	pre *Preprocessed
+	y   cmatrix.Vector
+	nv  float64
+}
+
+func newAllocFrame(t *testing.T, r *rng.Rand, c *constellation.Constellation, n, m int, snrDB float64) allocFrame {
+	t.Helper()
+	h, y, nv, _ := makeInstance(r, c, n, m, snrDB)
+	pre, err := Preprocess(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocFrame{pre: pre, y: y, nv: nv}
+}
+
+// heavyAllocFrame is a 20×20 frame of c at 2 dB costing the sorted DFS at
+// least 1000 expansions.
+func heavyAllocFrame(t *testing.T, c *constellation.Constellation) allocFrame {
+	t.Helper()
+	h, y, nv := heavyInstance(t, c, 20, 2)
+	pre, err := Preprocess(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocFrame{pre: pre, y: y, nv: nv}
+}
+
+// steadyStateAllocs warms d's pools and a reused Result on frames, then
+// returns the allocations of one pass over frames in order. A GC between
+// AllocsPerRun batches can empty the sync.Pool, which would show up as a
+// spurious allocation, so the minimum over a few batches is the
+// steady-state figure.
+func steadyStateAllocs(t *testing.T, d *SD, frames ...allocFrame) float64 {
+	t.Helper()
+	var res decoder.Result
+	pass := func() {
+		for _, f := range frames {
+			if err := d.DecodePreInto(f.pre, f.y, f.nv, 0, &res); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// A GC between AllocsPerRun batches can empty the sync.Pool, which
-		// would show up as a spurious allocation; the minimum over a few
-		// attempts is the steady-state figure.
-		best := math.Inf(1)
-		for attempt := 0; attempt < 3 && best > 0; attempt++ {
-			got := testing.AllocsPerRun(50, func() {
-				if err := d.DecodePreInto(pre, y, nv, 0, &res); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got < best {
-				best = got
-			}
-		}
-		if best != 0 {
-			t.Errorf("gemm=%v: %v allocs/op in steady state, want 0", useGEMM, best)
-		}
 	}
+	for i := 0; i < 4; i++ {
+		pass()
+	}
+	best := math.Inf(1)
+	for attempt := 0; attempt < 3 && best > 0; attempt++ {
+		best = min(best, testing.AllocsPerRun(50, pass))
+	}
+	return best
 }
 
 // TestPooledDecodeConcurrent drives one SD from many goroutines over shared

@@ -15,12 +15,21 @@ type mstNode struct {
 	pd     float64 // partial Euclidean distance ‖ȳ_k… − R·s‖² so far
 }
 
-// MST is the Meta State Table: an append-only arena of tree-node records.
-// Node identity is the record index, which makes parent links plain integers
-// (single-cycle BRAM/URAM reads on the FPGA) instead of pointers.
+// MST is the Meta State Table: an arena of tree-node records. Node identity
+// is the record index, which makes parent links plain integers (single-cycle
+// BRAM/URAM reads on the FPGA) instead of pointers.
+//
+// A strict-LIFO depth-first search (SortedDFS, PlainDFS, RealSE) calls
+// Truncate on every pop; the other searches only append. Every record
+// appended after the popped node belongs to a finished subtree, so the
+// arena never holds more than 1 + height·branching records — the software
+// twin of Fig. 5's fixed-capacity, level-partitioned table. Ids are reused
+// after a truncation.
 type MST struct {
-	nodes    []mstNode
-	perDepth []int64 // population per depth, for diagnostics and URAM sizing
+	nodes []mstNode
+	// perDepth counts the records ever created at each depth, truncated ones
+	// included, for diagnostics and URAM sizing.
+	perDepth []int64
 }
 
 // NewMST creates a table for a tree of m levels and inserts the root.
@@ -46,6 +55,11 @@ func (t *MST) Reset(m int) {
 	t.nodes = append(t.nodes, mstNode{parent: -1, symbol: -1, depth: 0, pd: 0})
 	t.perDepth[0] = 1
 }
+
+// Truncate drops every record with id ≥ n (1 ≤ n ≤ Len, so the root
+// survives). The per-depth population counts are cumulative and keep the
+// dropped records.
+func (t *MST) Truncate(n int) { t.nodes = t.nodes[:n] }
 
 // Root returns the root node id.
 func (t *MST) Root() int32 { return 0 }
@@ -93,8 +107,9 @@ func (t *MST) PathSymbols(id int32, m int, dst []int) int {
 }
 
 // DepthPopulation returns the number of records created at each depth,
-// root included. The FPGA resource model sizes the per-level MST partitions
-// (Fig. 5's level-partitioned database) from these counts.
+// root included, counting records a truncation has since dropped. The FPGA
+// resource model sizes the per-level MST partitions (Fig. 5's
+// level-partitioned database) from these counts.
 func (t *MST) DepthPopulation() []int64 {
 	out := make([]int64, len(t.perDepth))
 	copy(out, t.perDepth)

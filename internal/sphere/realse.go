@@ -36,6 +36,7 @@ func acquireRealSearch(cfg *Config, rp *RealPre, pam []float64, lim Limits) *sea
 		s.mst = NewMST(dim)
 	}
 	s.pathBuf = growInts(s.pathBuf, dim)
+	s.bestPath = growInts(s.bestPath, dim)
 	s.pathIDs = growInt32s(s.pathIDs, dim)
 	s.childPD = growFloats(s.childPD, s.p)
 	s.order = growInts(s.order, s.p)
@@ -84,7 +85,8 @@ func nearestPAM(z float64, pam []float64, step float64) int {
 // the full |PAM| child batch (skipped siblings count as pruned, so
 // pruned+kept == branching per expansion and the trace invariants hold
 // unchanged), and the ascending order means at most one leaf commits per
-// leaf-level expansion.
+// leaf-level expansion. Like runDFS, each pop truncates the MST to the
+// popped node, so the arena holds at most 1 + dim·|PAM| records.
 func (s *search) runRealSE() error {
 	s.incPath = true
 	defer func() { s.incPath = false }()
@@ -102,6 +104,7 @@ func (s *search) runRealSE() error {
 		s.noteListLen(len(stack))
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		s.mst.Truncate(int(id) + 1)
 		// A node enqueued earlier may have lost its sphere membership to a
 		// later radius update; re-check before paying for the expansion.
 		// Valid under both norms: PDs are monotone non-decreasing down the
@@ -282,7 +285,7 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 	if d.cfg.Deadline > 0 {
 		res.Elapsed = time.Since(start)
 	}
-	realPath := st.pathBuf // len dim; reused as the PAM decision buffer
+	realPath := st.bestPath // len dim: the incumbent's PAM decisions
 	pd := st.bestPD
 	if truncated {
 		res.Quality = decoder.QualityBestEffort
@@ -292,15 +295,11 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 		// than plain ZF in that norm.
 		fbPath, fbPD, fbFlops := fallbackPointReal(rp.R, dim, rybar, d.pam, d.cfg.Norm)
 		res.Counters.OtherFlops += fbFlops
-		if st.bestLeaf >= 0 && st.bestPD <= fbPD {
-			st.mst.PathSymbols(st.bestLeaf, dim, realPath)
-		} else {
+		if !st.haveBest || st.bestPD > fbPD {
 			copy(realPath, fbPath)
 			pd = fbPD
 			res.Quality = decoder.QualityFallback
 		}
-	} else {
-		st.mst.PathSymbols(st.bestLeaf, dim, realPath)
 	}
 
 	// Map the 2M PAM decisions back onto constellation indices: interleaved
@@ -336,6 +335,7 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 		info.MST = st.mst
 		info.FinalRadiusSq = st.radiusSq
 		info.Retries = retries
+		info.trajectory = append([]float64(nil), st.radii...)
 		st.mst = nil // detached: the caller owns the table now
 	}
 	st.release()

@@ -419,39 +419,22 @@ func TestRealSEConfigValidation(t *testing.T) {
 // TestRealSEZeroAllocSteadyState extends the zero-allocation pin to the real
 // engine under both norms: after warm-up (which triggers the one-time lazy
 // RealPre derivation on the shared handle), a pooled decode must not
-// allocate.
+// allocate, with or without a heavy frame ahead of the light ones.
 func TestRealSEZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	r := rng.New(98)
 	c := constellation.New(constellation.QAM4)
+	light := newAllocFrame(t, r, c, 6, 6, 10)
+	heavy := heavyAllocFrame(t, c)
 	for _, norm := range []Norm{NormL2, NormLInf} {
 		d := MustNew(Config{Const: c, Strategy: RealSE, Norm: norm})
-		h, y, nv, _ := makeInstance(r, c, 6, 6, 10)
-		pre, err := Preprocess(h)
-		if err != nil {
-			t.Fatal(err)
+		if got := steadyStateAllocs(t, d, light); got != 0 {
+			t.Errorf("norm %v: %v allocs/op in steady state, want 0", norm, got)
 		}
-		var res decoder.Result
-		for i := 0; i < 4; i++ {
-			if err := d.DecodePreInto(pre, y, nv, 0, &res); err != nil {
-				t.Fatal(err)
-			}
-		}
-		best := math.Inf(1)
-		for attempt := 0; attempt < 3 && best > 0; attempt++ {
-			got := testing.AllocsPerRun(50, func() {
-				if err := d.DecodePreInto(pre, y, nv, 0, &res); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got < best {
-				best = got
-			}
-		}
-		if best != 0 {
-			t.Errorf("norm %v: %v allocs/op in steady state, want 0", norm, best)
+		if got := steadyStateAllocs(t, d, heavy, light, light); got != 0 {
+			t.Errorf("norm %v: %v allocs per heavy+light pass, want 0", norm, got)
 		}
 	}
 }

@@ -34,7 +34,15 @@ type search struct {
 
 	radiusSq float64
 	bestPD   float64
-	bestLeaf int32
+	// haveBest reports that some leaf entered the sphere this attempt;
+	// bestPath then holds its symbols, antenna-indexed. The path is copied
+	// out when the leaf commits because a LIFO search later truncates the
+	// leaf's MST record.
+	haveBest bool
+	bestPath []int
+	// radii holds the PDs of this attempt's improving leaves in discovery
+	// order (the radius trajectory).
+	radii []float64
 
 	// deadline, when non-zero, bounds the wall-clock time of the
 	// traversal; stopReason records what cut the search short ("" while
@@ -128,6 +136,7 @@ func acquireSearch(cfg *Config, r *cmatrix.Matrix, lim Limits) *search {
 		s.mst = NewMST(m)
 	}
 	s.pathBuf = growInts(s.pathBuf, m)
+	s.bestPath = growInts(s.bestPath, m)
 	s.pathIDs = growInt32s(s.pathIDs, m)
 	s.childPD = growFloats(s.childPD, p)
 	s.order = growInts(s.order, p)
@@ -167,7 +176,8 @@ func (s *search) beginAttempt(radiusSq float64, deadline time.Time) {
 	s.mst.Reset(s.m)
 	s.radiusSq = radiusSq
 	s.bestPD = math.Inf(1)
-	s.bestLeaf = -1
+	s.haveBest = false
+	s.radii = s.radii[:0]
 	s.deadline = deadline
 	s.stopReason = ""
 	s.counters = decoder.Counters{}
@@ -199,7 +209,7 @@ func (s *search) runAttempts(radius float64, deadline time.Time, preFlops, loads
 			}
 			return retries, false, err
 		}
-		if s.bestLeaf >= 0 {
+		if s.haveBest {
 			return retries, false, nil
 		}
 		if s.cfg.DisableRetry {
@@ -297,27 +307,30 @@ func (s *search) run() error {
 // out of the MST for a depth-d node, so IrregularLoads is identical to the
 // old walk-every-time accounting.
 //
-// With incPath set the walk copies only the stale suffix: it stops at the
-// first depth whose recorded id already matches the ancestor chain. That
-// early stop is provably correct only for strict-LIFO traversals (DFS and
-// list-DFS), where the popped node's parent is always the most recently
-// expanded node on the current path; best-first and level orders can leave
-// a stale deeper entry that coincidentally matches, so they keep the full
-// walk.
+// With incPath set the walk copies only the stale suffix: it always writes
+// the popped node's own entry, then stops at the first ancestor whose
+// recorded id already matches. That early stop is provably correct only for
+// strict-LIFO traversals (DFS and list-DFS), where the popped node's parent
+// is always the most recently expanded node on the current path; best-first
+// and level orders can leave a stale deeper entry that coincidentally
+// matches, so they keep the full walk. The popped node itself gets no early
+// stop because a LIFO search truncates the MST and reuses ids: a stale entry
+// at its depth may carry its id for a record that no longer exists. An
+// ancestor's matching entry is current, since the ancestor wrote it when it
+// was expanded and its record outlives its whole subtree.
 func (s *search) updatePath(id int32, d int) {
 	s.counters.IrregularLoads += int64(d)
 	if !s.incPath {
 		s.mst.PathSymbols(id, s.m, s.pathBuf)
 		return
 	}
-	for n := id; ; {
+	for n := id; n != s.mst.Root(); n = s.mst.Parent(n) {
 		dep := s.mst.Depth(n)
-		if dep == 0 || s.pathIDs[dep] == n {
+		if n != id && s.pathIDs[dep] == n {
 			break
 		}
 		s.pathIDs[dep] = n
 		s.pathBuf[s.m-dep] = s.mst.Symbol(n)
-		n = s.mst.Parent(n)
 	}
 }
 
@@ -496,13 +509,21 @@ func (s *search) sortChildren() {
 func (s *search) commitLeaf(parent int32, sym int, pd float64) {
 	s.counters.LeavesReached++
 	if pd < s.radiusSq && pd < s.bestPD {
-		s.bestPD = pd
-		s.radiusSq = pd
-		s.bestLeaf = s.mst.Add(parent, sym, pd)
 		s.counters.RadiusUpdates++
-		if s.rec != nil {
-			s.rec.RadiusUpdate(pd)
-		}
+		s.setIncumbent(s.mst.Add(parent, sym, pd), pd)
+	}
+}
+
+// setIncumbent makes the full-depth record leaf, of PD pd, the best point so
+// far: the radius shrinks to pd and the leaf's path is copied into bestPath.
+func (s *search) setIncumbent(leaf int32, pd float64) {
+	s.bestPD = pd
+	s.radiusSq = pd
+	s.haveBest = true
+	s.mst.PathSymbols(leaf, s.m, s.bestPath)
+	s.radii = append(s.radii, pd)
+	if s.rec != nil {
+		s.rec.RadiusUpdate(pd)
 	}
 }
 
@@ -540,6 +561,10 @@ func (s *search) noteListLen(n int) {
 // runDFS explores the tree with an explicit LIFO stack. With sorted == true
 // the children of each expansion are pushed so the lowest-PD child pops
 // first — the paper's traversal (Fig. 3's sorted insertion + LIFO pop).
+//
+// Stack ids ascend from bottom to top, so the popped node is the newest
+// record still pending and every record after it belongs to a finished
+// subtree: the pop truncates the MST to the node itself.
 func (s *search) runDFS(sorted bool) error {
 	s.incPath = true
 	defer func() { s.incPath = false }()
@@ -550,6 +575,7 @@ func (s *search) runDFS(sorted bool) error {
 		s.noteListLen(len(stack))
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		s.mst.Truncate(int(id) + 1)
 		// A node enqueued earlier may have lost its sphere membership to a
 		// later radius update; re-check before paying for the expansion.
 		if s.mst.PD(id) >= s.radiusSq {
@@ -904,12 +930,7 @@ func (s *search) runFSD() error {
 				// FSD accepts the best leaf among its |Ω| candidates even
 				// outside the initial sphere, so force-commit if needed.
 				if bestPD < s.bestPD {
-					s.bestPD = bestPD
-					s.radiusSq = bestPD
-					s.bestLeaf = s.mst.Add(id, best, bestPD)
-					if s.rec != nil {
-						s.rec.RadiusUpdate(bestPD)
-					}
+					s.setIncumbent(s.mst.Add(id, best, bestPD), bestPD)
 				}
 			} else {
 				paths[i] = s.mst.Add(id, best, bestPD)

@@ -380,7 +380,7 @@ func (d *SD) Config() Config { return d.cfg }
 // Decode implements decoder.Decoder. It returns the detected symbol vector
 // together with the full operation trace of the search.
 func (d *SD) Decode(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64) (*decoder.Result, error) {
-	res, _, err := d.DecodeTraced(h, y, noiseVar)
+	res, _, err := d.decodeInline(h, y, noiseVar, false)
 	return res, err
 }
 
@@ -395,10 +395,19 @@ type SearchInfo struct {
 	FinalRadiusSq float64
 	// Preprocessing flops (QR + ȳ), included in the counters as well.
 	PreprocessFlops int64
+
+	trajectory []float64 // improving-leaf PDs of the final attempt
 }
 
 // DecodeTraced is Decode plus search internals.
 func (d *SD) DecodeTraced(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64) (*decoder.Result, *SearchInfo, error) {
+	return d.decodeInline(h, y, noiseVar, true)
+}
+
+// decodeInline factors h and decodes y against it. Only a traced call
+// detaches the Meta State Table into a SearchInfo; otherwise it stays in
+// the pool.
+func (d *SD) decodeInline(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64, wantInfo bool) (*decoder.Result, *SearchInfo, error) {
 	if err := decoder.CheckDims(h, y); err != nil {
 		return nil, nil, err
 	}
@@ -407,7 +416,7 @@ func (d *SD) DecodeTraced(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64)
 		return nil, nil, fmt.Errorf("sphere: preprocessing failed: %w", err)
 	}
 	res := new(decoder.Result)
-	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, Limits{}, true, res)
+	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, Limits{}, wantInfo, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -508,6 +517,7 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		res.Elapsed = time.Since(start)
 	}
 	idx := growInts(res.SymbolIdx, mInt)
+	copy(idx, st.bestPath)
 	pd := st.bestPD
 	if truncated {
 		res.Quality = decoder.QualityBestEffort
@@ -517,15 +527,11 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		// whenever the truncated search has nothing better.
 		fbIdx, fbPD, fbFlops := fallbackPoint(pre.F.R, ybar, d.cfg.Const)
 		res.Counters.OtherFlops += fbFlops
-		if st.bestLeaf >= 0 && st.bestPD <= fbPD {
-			st.mst.PathSymbols(st.bestLeaf, mInt, idx)
-		} else {
+		if !st.haveBest || st.bestPD > fbPD {
 			copy(idx, fbIdx)
 			pd = fbPD
 			res.Quality = decoder.QualityFallback
 		}
-	} else {
-		st.mst.PathSymbols(st.bestLeaf, mInt, idx)
 	}
 	syms := res.Symbols
 	if cap(syms) < mInt {
@@ -550,6 +556,7 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		info.MST = st.mst
 		info.FinalRadiusSq = st.radiusSq
 		info.Retries = retries
+		info.trajectory = append([]float64(nil), st.radii...)
 		st.mst = nil // detached: the caller owns the table now
 	}
 	st.release()
@@ -697,23 +704,11 @@ func babaiRadiusSq(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.C
 	return radius
 }
 
-// RadiusTrajectory returns the partial distances of the improving leaves in
-// discovery order — the radius-shrinking path of Algorithm 1 lines 7–9.
-// Only improving leaves enter the Meta State Table at full depth, so the
-// trajectory is exactly the full-depth records in insertion order, and it
-// is strictly decreasing.
-func (info *SearchInfo) RadiusTrajectory(m int) []float64 {
-	if info.MST == nil {
-		return nil
-	}
-	var out []float64
-	for id := int32(0); id < int32(info.MST.Len()); id++ {
-		if info.MST.Depth(id) == m {
-			out = append(out, info.MST.PD(id))
-		}
-	}
-	return out
-}
+// RadiusTrajectory returns the partial distances of the final attempt's
+// improving leaves in discovery order — the radius-shrinking path of
+// Algorithm 1 lines 7–9. It is strictly decreasing, and its last entry is
+// FinalRadiusSq.
+func (info *SearchInfo) RadiusTrajectory() []float64 { return info.trajectory }
 
 // initialRadius picks the starting r² per the strategy rules documented on
 // Config.InitialRadiusSq.

@@ -718,31 +718,33 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+// TestRadiusTrajectory: on a heavy frame, where the LIFO searches truncate
+// their improving leaves out of the MST, every trajectory still has one
+// entry per radius update, is strictly decreasing, and ends at the final
+// radius, which is the reported solution's reduced metric.
 func TestRadiusTrajectory(t *testing.T) {
-	r := rng.New(35)
-	c := constellation.New(constellation.QAM4)
-	sd := MustNew(Config{Const: c, Strategy: SortedDFS})
-	h, y, nv, _ := makeInstance(r, c, 8, 8, 4)
-	res, info, err := sd.DecodeTraced(h, y, nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := info.RadiusTrajectory(8)
-	if int64(len(traj)) != res.Counters.RadiusUpdates {
-		t.Fatalf("trajectory length %d, radius updates %d", len(traj), res.Counters.RadiusUpdates)
-	}
-	for i := 1; i < len(traj); i++ {
-		if traj[i] >= traj[i-1] {
-			t.Fatalf("trajectory not strictly decreasing at %d: %v", i, traj)
+	c := constellation.New(constellation.QAM16)
+	h, y, nv := heavyInstance(t, c, 8, 4)
+	for _, strat := range lifoStrategies {
+		res, info, err := MustNew(Config{Const: c, Strategy: strat}).DecodeTraced(h, y, nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traj := info.RadiusTrajectory()
+		if len(traj) == 0 || int64(len(traj)) != res.Counters.RadiusUpdates {
+			t.Fatalf("%v: trajectory length %d, radius updates %d", strat, len(traj), res.Counters.RadiusUpdates)
+		}
+		for i := 1; i < len(traj); i++ {
+			if traj[i] >= traj[i-1] {
+				t.Fatalf("%v: trajectory not strictly decreasing at %d: %v", strat, i, traj)
+			}
+		}
+		if last := traj[len(traj)-1]; last != info.FinalRadiusSq || last > res.Metric+1e-9 {
+			t.Fatalf("%v: last trajectory entry %v, final radius² %v, metric %v", strat, last, info.FinalRadiusSq, res.Metric)
 		}
 	}
-	// The last improving leaf is the reported solution (up to the ‖y‖²
-	// offset folded into Metric).
-	if len(traj) > 0 && traj[len(traj)-1] > res.Metric+1e-9 {
-		t.Fatalf("final trajectory PD %v above metric %v", traj[len(traj)-1], res.Metric)
-	}
-	if (&SearchInfo{}).RadiusTrajectory(8) != nil {
-		t.Fatal("nil MST should yield nil trajectory")
+	if (&SearchInfo{}).RadiusTrajectory() != nil {
+		t.Fatal("empty SearchInfo should yield nil trajectory")
 	}
 }
 
@@ -771,6 +773,18 @@ func TestMSTBasics(t *testing.T) {
 	}
 	if mst.Len() != 4 {
 		t.Fatalf("len %d", mst.Len())
+	}
+	// Truncation drops b's subtree; the freed id is reused and the
+	// per-depth population stays cumulative.
+	mst.Truncate(int(b) + 1)
+	if mst.Len() != 3 {
+		t.Fatalf("len %d after truncating to %d", mst.Len(), b+1)
+	}
+	if c := mst.Add(b, 3, 4); c != leaf || mst.Symbol(c) != 3 {
+		t.Fatalf("reused id %d holds symbol %d", c, mst.Symbol(c))
+	}
+	if pop := mst.DepthPopulation(); pop[3] != 2 {
+		t.Fatalf("depth-3 population %d, want the cumulative 2", pop[3])
 	}
 }
 
