@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -78,6 +79,8 @@ type Report struct {
 	// sorting), under the ℓ² metric and the ℓ∞ max-comparator metric.
 	// Speedups are complex SortedDFS+GEMM ns / engine ns, measured
 	// side-by-side in this run (not against the committed SingleFrame).
+	// Every engine row starts at r² = +Inf, like SortedDFS, so the ratios
+	// price the engine and not ℓ² rvd-se's noise-scaled default start.
 	RVDSEWorkload   string     `json:"rvd_se_workload,omitempty"`
 	RVDSE           FrameStats `json:"rvd_se_single_frame"`
 	RVDSESpeedup    float64    `json:"rvd_se_speedup"`
@@ -88,12 +91,14 @@ type Report struct {
 	// 16-frame batch of distinct 10x10 16-QAM channels through
 	// core.Accelerator with the cross-batch cache off, so every frame pays
 	// its own QR. rvd-se (the default square-QAM serving engine) runs
-	// against scalar complex SortedDFS in-run; the speedup is SortedDFS ns /
-	// rvd-se ns.
+	// against scalar complex SortedDFS in-run, both from r² = +Inf; the
+	// speedup is SortedDFS ns / rvd-se ns. RVDSEServed is the same batch
+	// through rvd-se at its default noise-scaled start — what sdserver runs.
 	RVDSE16QAMWorkload string     `json:"rvd_se_16qam_workload,omitempty"`
 	RVDSE16QAM         FrameStats `json:"rvd_se_16qam_batch"`
 	SortedDFS16QAM     FrameStats `json:"sorted_dfs_16qam_batch"`
 	RVDSE16QAMSpeedup  float64    `json:"rvd_se_16qam_speedup"`
+	RVDSEServed        FrameStats `json:"rvd_se_served"`
 
 	// LInfBER pins the ℓ∞ criterion's BER cost against the exact ℓ² decoder
 	// at low and high SNR (seeded Monte-Carlo, identical channels).
@@ -132,16 +137,18 @@ type Report struct {
 	// verify + audit) / unguarded decode − 1.
 	SDCOverheadTotal float64 `json:"sdc_overhead_total_fraction"`
 
-	// Adaptive-ladder study: every rung of the default adapt ladder decodes
-	// the same seeded batch, so the cost/quality trade-off the controller
-	// walks is published as data. Policies are the canonical ParsePolicy
-	// spellings — the same strings PUT /v1/policy and -decode-policy accept.
+	// Adaptive-ladder study: every rung of the rvd-se adapt ladder decodes
+	// the same seeded batch at each SNR point, so the cost/quality trade-off
+	// the controller walks is published as data. Policies are spelled
+	// relative to rvd-se (core.DecodePolicy.StringOn) — the same strings
+	// PUT /v1/policy and -decode-policy accept on an rvd-se sdserver.
 	AdaptWorkload string            `json:"adapt_workload,omitempty"`
 	AdaptLevels   []AdaptLevelStats `json:"adapt_levels,omitempty"`
 }
 
 // AdaptLevelStats is one ladder rung's measured cost and quality.
 type AdaptLevelStats struct {
+	SNRdB         float64 `json:"snr_db"`
 	Name          string  `json:"name"`
 	Policy        string  `json:"policy"`
 	NsPerFrame    float64 `json:"ns_per_frame"`
@@ -202,11 +209,11 @@ func coherenceBlock(seed uint64, n, m, frames int, snrDB float64) []core.BatchIn
 }
 
 // rayleigh16QAM draws frames independent 10x10 16-QAM transmissions at
-// 14 dB, each over its own Rayleigh channel.
-func rayleigh16QAM(seed uint64, frames int) []core.BatchInput {
+// snrDB, each over its own Rayleigh channel.
+func rayleigh16QAM(seed uint64, frames int, snrDB float64) []core.BatchInput {
 	r := rng.New(seed)
 	c := constellation.New(constellation.QAM16)
-	nv := channel.NoiseVariance(channel.PerTransmitSymbol, 14, 10)
+	nv := channel.NoiseVariance(channel.PerTransmitSymbol, snrDB, 10)
 	inputs := make([]core.BatchInput, frames)
 	for i := range inputs {
 		h := channel.Rayleigh(r, 10, 10)
@@ -325,8 +332,9 @@ func main() {
 	// --- RVD-SE hot path ---------------------------------------------------
 	if sel["rvd"] {
 		rep.RVDSEWorkload = "10x10 4-QAM, 8 dB, RVD/SE vs SortedDFS+GEMM in-run"
-		se := sphere.MustNew(sphere.Config{Const: c, Strategy: sphere.RealSE})
-		li := sphere.MustNew(sphere.Config{Const: c, Strategy: sphere.RealSE, Norm: sphere.NormLInf})
+		unbounded := math.Inf(1)
+		se := sphere.MustNew(sphere.Config{Const: c, Strategy: sphere.RealSE, InitialRadiusSq: unbounded})
+		li := sphere.MustNew(sphere.Config{Const: c, Strategy: sphere.RealSE, Norm: sphere.NormLInf, InitialRadiusSq: unbounded})
 
 		if err := se.DecodePreInto(pre, single.Y, single.NoiseVar, 0, &res); err != nil {
 			fatal(err)
@@ -353,15 +361,16 @@ func main() {
 
 		const batches, batchFrames = 4, 16
 		rep.RVDSE16QAMWorkload = fmt.Sprintf("%dx%d-frame batches of distinct 10x10 16-QAM Rayleigh channels, 14 dB, "+
-			"cold QR cache, op = one %d-frame batch; rvd-se vs scalar SortedDFS in-run", batches, batchFrames, batchFrames)
-		frames := rayleigh16QAM(83, batches*batchFrames)
+			"cold QR cache, op = one %d-frame batch; rvd-se vs scalar SortedDFS in-run from r² = +Inf, "+
+			"rvd_se_served at the default start", batches, batchFrames, batchFrames)
+		frames := rayleigh16QAM(83, batches*batchFrames, 14)
 		groups := make([][]core.BatchInput, batches)
 		for g := range groups {
 			groups[g] = frames[g*batchFrames : (g+1)*batchFrames]
 		}
-		benchCold := func(strat sphere.Strategy) FrameStats {
+		benchCold := func(strat sphere.Strategy, radiusSq float64) FrameStats {
 			acc := core.MustNew(fpga.Optimized, constellation.QAM16, 10, 10,
-				core.Options{ScalarEval: true, Strategy: strat, PreprocessCacheEntries: -1})
+				core.Options{ScalarEval: true, Strategy: strat, InitialRadiusSq: radiusSq, PreprocessCacheEntries: -1})
 			return stats(testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -371,11 +380,12 @@ func main() {
 				}
 			}))
 		}
-		rep.RVDSE16QAM = benchCold(sphere.RealSE)
-		rep.SortedDFS16QAM = benchCold(sphere.SortedDFS)
+		rep.RVDSE16QAM = benchCold(sphere.RealSE, unbounded)
+		rep.SortedDFS16QAM = benchCold(sphere.SortedDFS, unbounded)
 		if rep.RVDSE16QAM.NsPerOp > 0 {
 			rep.RVDSE16QAMSpeedup = rep.SortedDFS16QAM.NsPerOp / rep.RVDSE16QAM.NsPerOp
 		}
+		rep.RVDSEServed = benchCold(sphere.RealSE, 0)
 	}
 
 	// --- ℓ∞ BER cost --------------------------------------------------------
@@ -491,48 +501,56 @@ func main() {
 
 	// --- Adaptive ladder ----------------------------------------------------
 	if sel["adapt"] {
-		// 10x10 16-QAM at 14 dB is where the rungs separate; at 4x4 4-QAM
-		// per-frame overhead dominates every rung. The batch fits the QR
+		// 10x10 16-QAM is where the rungs separate; at 4x4 4-QAM per-frame
+		// overhead dominates every rung. Each SNR point's batch fits the QR
 		// cache, and one untimed pass fills it, so every timed pass hits the
 		// cache on purpose and the rungs differ only in what they search.
 		const adaptFrames = sphere.DefaultCacheEntries
-		const adaptPasses = 5
-		rep.AdaptWorkload = fmt.Sprintf("%d independent 10x10 16-QAM frames, 14 dB, per-rung DecodePolicy; "+
-			"one warm pass fills the QR cache, then each rung is the median of %d passes, all cache hits",
+		const adaptPasses = 15
+		rep.AdaptWorkload = fmt.Sprintf("%d independent 10x10 16-QAM frames at 10, 14 and 18 dB, rvd-se accelerator, "+
+			"per-rung DecodePolicy; one warm pass fills the QR cache, then each rung is the median of %d interleaved passes, all cache hits",
 			adaptFrames, adaptPasses)
-		inputs := rayleigh16QAM(97, adaptFrames)
-		acc := core.MustNew(fpga.Optimized, constellation.QAM16, 10, 10, core.Options{})
-		if _, err := acc.DecodeBatch(inputs); err != nil {
-			fatal(fmt.Errorf("adapt warm pass: %w", err))
-		}
-		for _, lvl := range adapt.DefaultLevels(true, 4096) {
-			var br *core.BatchReport
-			elapsed := make([]time.Duration, adaptPasses)
-			for pass := range elapsed {
-				start := time.Now()
-				var err error
-				br, err = acc.DecodeBatch(inputs, core.WithPolicy(lvl.Policy))
-				if err != nil {
-					fatal(fmt.Errorf("adapt level %s: %w", lvl.Name, err))
-				}
-				elapsed[pass] = time.Since(start)
+		levels := adapt.DefaultLevels(sphere.RealSE, 4096)
+		for _, snr := range []float64{10, 14, 18} {
+			inputs := rayleigh16QAM(97, adaptFrames, snr)
+			acc := core.MustNew(fpga.Optimized, constellation.QAM16, 10, 10, core.Options{Strategy: sphere.RealSE})
+			if _, err := acc.DecodeBatch(inputs); err != nil {
+				fatal(fmt.Errorf("adapt warm pass: %w", err))
 			}
-			sort.Slice(elapsed, func(a, b int) bool { return elapsed[a] < elapsed[b] })
-			exact := 0
-			var nodes int64
-			for _, res := range br.Results {
-				if res.Quality == decoder.QualityExact {
-					exact++
+			// Passes interleave the rungs, so host drift lands on every rung
+			// alike instead of on whichever rung ran during it.
+			elapsed := make([][]time.Duration, len(levels))
+			reports := make([]*core.BatchReport, len(levels))
+			for pass := 0; pass < adaptPasses; pass++ {
+				for i, lvl := range levels {
+					start := time.Now()
+					br, err := acc.DecodeBatch(inputs, core.WithPolicy(lvl.Policy))
+					if err != nil {
+						fatal(fmt.Errorf("adapt level %s: %w", lvl.Name, err))
+					}
+					elapsed[i] = append(elapsed[i], time.Since(start))
+					reports[i] = br
 				}
-				nodes += res.Counters.NodesExpanded
 			}
-			rep.AdaptLevels = append(rep.AdaptLevels, AdaptLevelStats{
-				Name:          lvl.Name,
-				Policy:        lvl.Policy.String(),
-				NsPerFrame:    float64(elapsed[adaptPasses/2].Nanoseconds()) / adaptFrames,
-				ExactFraction: float64(exact) / adaptFrames,
-				NodesPerFrame: float64(nodes) / adaptFrames,
-			})
+			for i, lvl := range levels {
+				sort.Slice(elapsed[i], func(a, b int) bool { return elapsed[i][a] < elapsed[i][b] })
+				exact := 0
+				var nodes int64
+				for _, res := range reports[i].Results {
+					if res.Quality == decoder.QualityExact {
+						exact++
+					}
+					nodes += res.Counters.NodesExpanded
+				}
+				rep.AdaptLevels = append(rep.AdaptLevels, AdaptLevelStats{
+					SNRdB:         snr,
+					Name:          lvl.Name,
+					Policy:        lvl.Policy.StringOn(sphere.RealSE),
+					NsPerFrame:    float64(elapsed[i][adaptPasses/2].Nanoseconds()) / adaptFrames,
+					ExactFraction: float64(exact) / adaptFrames,
+					NodesPerFrame: float64(nodes) / adaptFrames,
+				})
+			}
 		}
 	}
 
@@ -553,9 +571,9 @@ func main() {
 		fmt.Printf("rvd-se: %.0f ns/op (%d allocs) -> %.2fx vs complex %.0f ns/op; linf %.0f ns/op -> %.2fx; compare ops %d\n",
 			rep.RVDSE.NsPerOp, rep.RVDSE.AllocsPerOp, rep.RVDSESpeedup, rep.SingleFrame.NsPerOp,
 			rep.LInf.NsPerOp, rep.LInfSpeedup, rep.RVDSECompareOps)
-		fmt.Printf("rvd-se 16-qam cold batch: %.0f ns/op (%d B/op) -> %.2fx vs sorted-dfs %.0f ns/op (%d B/op)\n",
+		fmt.Printf("rvd-se 16-qam cold batch: %.0f ns/op (%d B/op) -> %.2fx vs sorted-dfs %.0f ns/op (%d B/op); served start %.0f ns/op\n",
 			rep.RVDSE16QAM.NsPerOp, rep.RVDSE16QAM.BytesPerOp, rep.RVDSE16QAMSpeedup,
-			rep.SortedDFS16QAM.NsPerOp, rep.SortedDFS16QAM.BytesPerOp)
+			rep.SortedDFS16QAM.NsPerOp, rep.SortedDFS16QAM.BytesPerOp, rep.RVDSEServed.NsPerOp)
 	}
 	if sel["ber"] {
 		for _, p := range rep.LInfBER {
@@ -578,8 +596,8 @@ func main() {
 	}
 	if sel["adapt"] {
 		for _, l := range rep.AdaptLevels {
-			fmt.Printf("adapt %-12s [%s]: %.0f ns/frame, exact %.3f, %.1f nodes/frame\n",
-				l.Name, l.Policy, l.NsPerFrame, l.ExactFraction, l.NodesPerFrame)
+			fmt.Printf("adapt %2.0f dB %-12s [%s]: %.0f ns/frame, exact %.3f, %.1f nodes/frame\n",
+				l.SNRdB, l.Name, l.Policy, l.NsPerFrame, l.ExactFraction, l.NodesPerFrame)
 		}
 	}
 	if sel["sdc"] {

@@ -126,8 +126,8 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The rvd-se engine and the rvd-se adaptive rung need a square-QAM PAM
-	// decomposition; gate them the same way sphere.New does.
+	// The rvd-se engine needs a square-QAM PAM decomposition; gate it the
+	// same way sphere.New does.
 	squareQAM := constellation.New(mod).PAMLevels() != nil
 	strat, err := resolveStrategy(o.strategy, o.verifyGEMM, squareQAM)
 	if err != nil {
@@ -139,7 +139,8 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	}
 	var fixedPolicy *core.DecodePolicy
 	if o.decodePolicy != "" {
-		p, err := core.ParsePolicy(o.decodePolicy)
+		// A policy that names no strategy runs the engine this server serves.
+		p, err := core.ParsePolicyOn(strat, o.decodePolicy)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -151,7 +152,7 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 			return nil, nil, nil, fmt.Errorf("-adaptive and -decode-policy are mutually exclusive (pin at runtime via PUT /v1/policy instead)")
 		}
 		controller, err = adapt.NewController(adapt.Config{
-			Levels:      adapt.DefaultLevels(squareQAM, o.nodeBudget),
+			Levels:      adapt.DefaultLevels(strat, o.nodeBudget),
 			NodeCeiling: o.adaptNodeCeiling,
 		})
 		if err != nil {
@@ -285,7 +286,7 @@ func main() {
 	flag.BoolVar(&o.scalarEval, "scalar-eval", true, "use the scalar evaluation path (identical decodes, faster in simulation)")
 	flag.StringVar(&o.strategy, "strategy", "", "tree-search strategy: sorted-dfs, plain-dfs, best-fs, bfs, fsd, rvd-se (default: rvd-se for square QAM without -verify-gemm, else sorted-dfs)")
 	flag.StringVar(&o.norm, "norm", "", "partial-distance norm: l2 (default) or linf (requires -strategy rvd-se)")
-	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096 (empty = backend default)")
+	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096; without strategy= it runs the served engine (empty = backend default)")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the adaptive complexity controller (per-class policy from SNR, node cost, and queue depth)")
 	flag.Float64Var(&o.adaptNodeCeiling, "adapt-node-ceiling", 0, "node-cost EWMA that reads as pressure 1.0 to the controller (0 = default 1048576)")
 	flag.BoolVar(&o.pprof, "pprof", false, "expose Go profiling under /debug/pprof/")

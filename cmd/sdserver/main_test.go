@@ -3,10 +3,12 @@ package main
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/sphere"
 )
 
 func defaultOptions() options {
@@ -125,5 +127,72 @@ func TestBuildServerRejectsBadOptions(t *testing.T) {
 			sched.Close()
 			t.Errorf("case %d: bad options accepted: %+v", i, o)
 		}
+	}
+}
+
+// TestPolicyRunsServedEngine: a -decode-policy or PUT /v1/policy spelling
+// without strategy= runs the engine the server serves (rvd-se for QPSK,
+// sorted-dfs for BPSK), the echoes re-parse to the same policy on that
+// server, and an -adaptive server's ladder is all engine-relative rungs.
+func TestPolicyRunsServedEngine(t *testing.T) {
+	cases := []struct {
+		mod    string
+		engine sphere.Strategy
+		ladder []string
+	}{
+		{"qpsk", sphere.RealSE, []string{"default", "radius-scale=1.5,max-nodes=4096", "linear"}},
+		{"bpsk", sphere.SortedDFS, []string{"default", "radius-scale=2", "radius-scale=1.5,max-nodes=4096", "linear"}},
+	}
+	for _, tc := range cases {
+		o := defaultOptions()
+		o.mod = tc.mod
+		o.decodePolicy = "max-nodes=4096"
+		sched, _, _, err := buildServer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.PolicyInfo().Policy; got != "max-nodes=4096" {
+			t.Errorf("%s: -decode-policy echoed %q", tc.mod, got)
+		}
+		if got := sched.Config().DecodePolicy; got == nil || got.Strategy != tc.engine {
+			t.Errorf("%s: -decode-policy without strategy= selected %+v, want %v", tc.mod, got, tc.engine)
+		}
+		sched.Close()
+
+		o.decodePolicy = "strategy=sorted-dfs"
+		sched, _, _, err = buildServer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.Config().DecodePolicy; got == nil || got.Strategy != sphere.SortedDFS {
+			t.Errorf("%s: strategy=sorted-dfs selected %+v", tc.mod, got)
+		}
+		echo := sched.PolicyInfo().Policy
+		if err := sched.SetPolicy(echo); err != nil || sched.PolicyInfo().Policy != echo {
+			t.Errorf("%s: echo %q does not re-parse to itself (err %v)", tc.mod, echo, err)
+		}
+		sched.Close()
+
+		o.decodePolicy = ""
+		o.adaptive = true
+		o.nodeBudget = 4096
+		sched, _, _, err = buildServer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ladder []string
+		for _, l := range sched.PolicyInfo().Levels {
+			ladder = append(ladder, l.Policy)
+		}
+		if !slices.Equal(ladder, tc.ladder) {
+			t.Errorf("%s: adaptive ladder %q, want %q", tc.mod, ladder, tc.ladder)
+		}
+		if err := sched.SetPolicy("max-nodes=4096"); err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.PolicyInfo().Policy; got != "max-nodes=4096" {
+			t.Errorf("%s: PUT max-nodes=4096 echoed %q", tc.mod, got)
+		}
+		sched.Close()
 	}
 }

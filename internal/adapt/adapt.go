@@ -5,10 +5,9 @@
 //
 // The controller realizes the trade-off Dabah et al. describe for
 // runtime-tunable sphere decoders: under light load everything runs the exact
-// exhaustive pipeline; as cost pressure rises it walks down a ladder of
-// cheaper configurations — SNR-scaled initial radius, the real-valued
-// Schnorr–Euchner decomposition under the ℓ∞ norm, a tighter radius with a
-// per-frame node budget, fixed-complexity search — before surrendering to the
+// search on the serving engine; as cost pressure rises it walks down a ladder
+// of cheaper configurations of that engine — SNR-scaled initial radius, then
+// a tighter radius with a per-frame node budget — before surrendering to the
 // linear detector. Degradation is immediate; recovery is hysteresis-gated so a
 // saturated queue draining does not make the controller flap.
 //
@@ -150,44 +149,45 @@ func MustNewController(cfg Config) *Controller {
 	return c
 }
 
-// DefaultLevels is the stock degradation ladder. squareQAM enables the
-// real-valued Schnorr–Euchner rung (it needs a PAM decomposition);
-// budgetNodes is the per-frame expansion cap of the budgeted rung (0 picks
-// 1<<16). The pressure thresholds come from the adapt bench study: radius
-// scaling alone recovers most of the heavy tail, so the exact rungs stretch
-// far before any quality is given up.
-func DefaultLevels(squareQAM bool, budgetNodes int64) []Level {
+// DefaultLevels is the stock degradation ladder for a deployment serving
+// engine: every searching rung runs that engine, so the ladder trades search
+// effort, never the engine itself. budgetNodes is the per-frame expansion
+// cap of the budgeted rung (0 picks 1<<16).
+//
+// The rungs come from the adapt_levels table (sdbench -study adapt), which
+// keeps a rung only while it is cheaper than the one above it:
+//   - rvd-se already starts from the noise-scaled sphere 2·N·σ², so its
+//     ladder is exact → budget → linear;
+//   - every other engine gets an exact-radius rung (radius-scale=2)
+//     between exact-full and budget: the depth-first engines start at
+//     +Inf, and that rung is what bounds their heavy tail.
+//
+// The ℓ∞ and fixed-complexity rungs are gone: on the measured workload both
+// cost more than the rvd-se budget rung.
+func DefaultLevels(engine sphere.Strategy, budgetNodes int64) []Level {
 	if budgetNodes <= 0 {
 		budgetNodes = 1 << 16
 	}
-	levels := []Level{
-		{Name: "exact-full", Policy: core.DecodePolicy{}, MaxPressure: 0.5, MinSNRdB: math.Inf(-1)},
-		{Name: "exact-radius", Policy: core.DecodePolicy{RadiusScale: 2}, MaxPressure: 1.5, MinSNRdB: 6},
+	var levels []Level
+	if engine == sphere.RealSE {
+		levels = []Level{
+			{Name: "exact", Policy: core.DecodePolicy{Strategy: engine}, MaxPressure: 1.5, MinSNRdB: math.Inf(-1)},
+		}
+	} else {
+		levels = []Level{
+			{Name: "exact-full", Policy: core.DecodePolicy{Strategy: engine}, MaxPressure: 0.5, MinSNRdB: math.Inf(-1)},
+			{Name: "exact-radius", Policy: core.DecodePolicy{Strategy: engine, RadiusScale: 2}, MaxPressure: 1.5, MinSNRdB: 6},
+		}
 	}
-	if squareQAM {
-		levels = append(levels, Level{
-			Name:        "se-linf",
-			Policy:      core.DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
-			MaxPressure: 3,
-			MinSNRdB:    8,
-		})
-	}
-	levels = append(levels,
+	return append(levels,
 		Level{
 			Name:        "budget",
-			Policy:      core.DecodePolicy{RadiusScale: 1.5, MaxNodes: budgetNodes},
-			MaxPressure: 6,
-			MinSNRdB:    math.Inf(-1),
-		},
-		Level{
-			Name:        "fsd",
-			Policy:      core.DecodePolicy{Strategy: sphere.FSD, RadiusScale: 1.5},
+			Policy:      core.DecodePolicy{Strategy: engine, RadiusScale: 1.5, MaxNodes: budgetNodes},
 			MaxPressure: 10,
 			MinSNRdB:    math.Inf(-1),
 		},
 		Level{Name: "linear", Policy: core.DecodePolicy{Linear: true}, MaxPressure: math.Inf(1), MinSNRdB: math.Inf(-1)},
 	)
-	return levels
 }
 
 // SNREstimateDB converts a per-frame noise-variance estimate into the SNR
@@ -307,8 +307,9 @@ type ClassSnapshot struct {
 }
 
 // Snapshot reports the controller's per-class state, classes sorted by name,
-// for /v1/policy and the metrics endpoint.
-func (c *Controller) Snapshot() []ClassSnapshot {
+// for /v1/policy. Class policies are spelled relative to engine, the search
+// strategy the server runs (see core.DecodePolicy.StringOn).
+func (c *Controller) Snapshot(engine sphere.Strategy) []ClassSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	names := make([]string, 0, len(c.classes))
@@ -323,7 +324,7 @@ func (c *Controller) Snapshot() []ClassSnapshot {
 		cs := ClassSnapshot{
 			Class:     name,
 			Level:     lvl.Name,
-			Policy:    lvl.Policy.String(),
+			Policy:    lvl.Policy.StringOn(engine),
 			EWMANodes: st.ewmaNodes,
 			Decisions: make(map[string]int, len(st.decisions)),
 			Quality:   make(map[string]int, len(st.quality)),

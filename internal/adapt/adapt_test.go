@@ -15,7 +15,8 @@ import (
 	"repro/internal/sphere"
 )
 
-func testLevels() []Level { return DefaultLevels(true, 4096) }
+// testLevels is the ladder an rvd-se sdserver runs.
+func testLevels() []Level { return DefaultLevels(sphere.RealSE, 4096) }
 
 func TestNewControllerValidation(t *testing.T) {
 	if _, err := NewController(Config{}); err == nil {
@@ -44,72 +45,119 @@ func TestNewControllerValidation(t *testing.T) {
 }
 
 func TestDefaultLevelsLadderShape(t *testing.T) {
-	withSE := DefaultLevels(true, 0)
-	withoutSE := DefaultLevels(false, 0)
-	if len(withSE) != len(withoutSE)+1 {
-		t.Fatalf("square-QAM ladder should add exactly the se-linf rung: %d vs %d", len(withSE), len(withoutSE))
+	cases := []struct {
+		engine sphere.Strategy
+		names  []string
+	}{
+		// rvd-se already starts from the noise-scaled sphere, so it has no
+		// separate exact-radius rung.
+		{sphere.RealSE, []string{"exact", "budget", "linear"}},
+		{sphere.SortedDFS, []string{"exact-full", "exact-radius", "budget", "linear"}},
 	}
-	last := withSE[len(withSE)-1]
-	if !last.Policy.Linear || !math.IsInf(last.MaxPressure, 1) {
-		t.Fatal("ladder must terminate in an always-eligible linear rung")
-	}
-	// Thresholds must be non-decreasing so "more pressure" never selects a
-	// more expensive level.
-	for i := 1; i < len(withSE); i++ {
-		if withSE[i].MaxPressure < withSE[i-1].MaxPressure {
-			t.Fatalf("ladder thresholds not monotone at %q", withSE[i].Name)
+	for _, tc := range cases {
+		levels := DefaultLevels(tc.engine, 0)
+		var names []string
+		for _, l := range levels {
+			names = append(names, l.Name)
+		}
+		if !reflect.DeepEqual(names, tc.names) {
+			t.Fatalf("%v ladder %v, want %v", tc.engine, names, tc.names)
+		}
+		for _, l := range levels {
+			if l.Policy.Linear {
+				continue
+			}
+			// Every searching rung runs the serving engine, under ℓ²: the
+			// ladder trades search effort, never the engine.
+			if l.Policy.Strategy != tc.engine || l.Policy.Norm != sphere.NormL2 {
+				t.Fatalf("%v ladder: rung %q runs %v/%v", tc.engine, l.Name, l.Policy.Strategy, l.Policy.Norm)
+			}
+		}
+		if b := levels[len(levels)-2]; b.Policy.MaxNodes != 1<<16 {
+			t.Fatalf("%v ladder: budget rung caps %d nodes, want the 1<<16 default", tc.engine, b.Policy.MaxNodes)
+		}
+		last := levels[len(levels)-1]
+		if !last.Policy.Linear || !math.IsInf(last.MaxPressure, 1) {
+			t.Fatalf("%v ladder must terminate in an always-eligible linear rung", tc.engine)
+		}
+		// Thresholds must be non-decreasing so "more pressure" never selects
+		// a more expensive level.
+		for i := 1; i < len(levels); i++ {
+			if levels[i].MaxPressure < levels[i-1].MaxPressure {
+				t.Fatalf("%v ladder thresholds not monotone at %q", tc.engine, levels[i].Name)
+			}
 		}
 	}
 }
 
 func TestDecideWalksLadderUnderPressure(t *testing.T) {
-	c := MustNewController(Config{Levels: testLevels(), NodeCeiling: 1000})
-	// No observations, empty queue: the exact full search.
-	if d := c.Decide("a", 0, 100); d.Level != "exact-full" {
-		t.Fatalf("idle decision %q", d.Level)
+	cases := []struct {
+		engine    sphere.Strategy
+		idle, hot string
+		hotNodes  int64
+	}{
+		// rvd-se's exact rung serves up to pressure 1.5; 2.0 is budget.
+		{sphere.RealSE, "exact", "budget", 2000},
+		// sorted-dfs leaves exact-full at 0.5; 1.2 is exact-radius.
+		{sphere.SortedDFS, "exact-full", "exact-radius", 1200},
 	}
-	// Saturated queue: last resort.
-	if d := c.Decide("a", 100, 100); d.Level != "linear" {
-		t.Fatalf("saturated decision %q", d.Level)
-	}
-	// Node cost alone (queue empty) also degrades: EWMA at 1.2× ceiling.
-	c.Observe("b", 14, 1200, decoder.QualityExact)
-	if d := c.Decide("b", 0, 100); d.Level != "exact-radius" {
-		t.Fatalf("hot-class decision %q", d.Level)
+	for _, tc := range cases {
+		c := MustNewController(Config{Levels: DefaultLevels(tc.engine, 4096), NodeCeiling: 1000})
+		// No observations, empty queue: the exact search.
+		if d := c.Decide("a", 0, 100); d.Level != tc.idle {
+			t.Fatalf("%v: idle decision %q, want %q", tc.engine, d.Level, tc.idle)
+		}
+		// Saturated queue: last resort.
+		if d := c.Decide("a", 100, 100); d.Level != "linear" {
+			t.Fatalf("%v: saturated decision %q", tc.engine, d.Level)
+		}
+		// Node cost alone (queue empty) also degrades.
+		c.Observe("b", 14, tc.hotNodes, decoder.QualityExact)
+		if d := c.Decide("b", 0, 100); d.Level != tc.hot {
+			t.Fatalf("%v: hot-class decision %q, want %q", tc.engine, d.Level, tc.hot)
+		}
 	}
 }
 
 func TestDecideSNRGatesLevels(t *testing.T) {
-	c := MustNewController(Config{Levels: testLevels(), NodeCeiling: 1000})
-	// Pressure 2.0 at high SNR lands on the se-linf rung (MaxPressure 3).
-	c.Observe("hi", 14, 2000, decoder.QualityExact)
-	if d := c.Decide("hi", 0, 0); d.Level != "se-linf" {
+	// On the sorted-dfs ladder, pressure 1.0 at high SNR lands on the
+	// exact-radius rung (MaxPressure 1.5, gated at 6 dB).
+	c := MustNewController(Config{Levels: DefaultLevels(sphere.SortedDFS, 4096), NodeCeiling: 1000})
+	c.Observe("hi", 14, 1000, decoder.QualityExact)
+	if d := c.Decide("hi", 0, 0); d.Level != "exact-radius" {
 		t.Fatalf("high-SNR decision %q", d.Level)
 	}
-	// The same pressure at 3 dB skips both SNR-gated rungs (exact-radius
-	// needs 6 dB, se-linf needs 8) and lands on budget.
-	c.Observe("lo", 3, 2000, decoder.QualityExact)
+	// The same pressure at 3 dB skips the SNR-gated rung and lands on
+	// budget.
+	c.Observe("lo", 3, 1000, decoder.QualityExact)
 	if d := c.Decide("lo", 0, 0); d.Level != "budget" {
 		t.Fatalf("low-SNR decision %q", d.Level)
+	}
+	// rvd-se's exact rung is its default start, with no SNR gate: the same
+	// pressure at 3 dB stays exact.
+	c = MustNewController(Config{Levels: testLevels(), NodeCeiling: 1000})
+	c.Observe("lo", 3, 1000, decoder.QualityExact)
+	if d := c.Decide("lo", 0, 0); d.Level != "exact" {
+		t.Fatalf("rvd-se low-SNR decision %q", d.Level)
 	}
 }
 
 func TestRecoveryHysteresis(t *testing.T) {
 	c := MustNewController(Config{Levels: testLevels(), NodeCeiling: 1000, Hysteresis: 0.2})
 	// Drive the class down the ladder.
-	c.Observe("a", 14, 1400, decoder.QualityExact)
-	if d := c.Decide("a", 0, 0); d.Level != "exact-radius" {
+	c.Observe("a", 14, 2000, decoder.QualityExact)
+	if d := c.Decide("a", 0, 0); d.Level != "budget" {
 		t.Fatalf("setup decision %q", d.Level)
 	}
-	// Pressure falls to just under exact-full's threshold (0.5) but inside
-	// the hysteresis band (> 0.8·0.5 = 0.4): stay put.
-	reObserve(c, "a", 14, 450)
-	if d := c.Decide("a", 0, 0); d.Level != "exact-radius" {
+	// Pressure falls to just under exact's threshold (1.5) but inside the
+	// hysteresis band (> 0.8·1.5 = 1.2): stay put.
+	reObserve(c, "a", 14, 1400)
+	if d := c.Decide("a", 0, 0); d.Level != "budget" {
 		t.Fatalf("recovery inside hysteresis band jumped to %q", d.Level)
 	}
 	// Pressure well below the band: recover.
-	reObserve(c, "a", 14, 100)
-	if d := c.Decide("a", 0, 0); d.Level != "exact-full" {
+	reObserve(c, "a", 14, 300)
+	if d := c.Decide("a", 0, 0); d.Level != "exact" {
 		t.Fatalf("clear recovery stayed at %q", d.Level)
 	}
 }
@@ -125,7 +173,7 @@ func reObserve(c *Controller, class string, snrDB float64, nodes int64) {
 func TestFirstObservationSeedsEWMA(t *testing.T) {
 	c := MustNewController(Config{Levels: testLevels(), NodeCeiling: 1000})
 	c.Observe("a", 9, 700, decoder.QualityExact)
-	snaps := c.Snapshot()
+	snaps := c.Snapshot(sphere.SortedDFS)
 	if len(snaps) != 1 || snaps[0].EWMANodes != 700 || snaps[0].EWMASNRdB != 9 {
 		t.Fatalf("first observation not seeded directly: %+v", snaps)
 	}
@@ -159,7 +207,7 @@ func TestRecorderFeedsObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := c.Snapshot()
+	snaps := c.Snapshot(sphere.SortedDFS)
 	if len(snaps) != 1 {
 		t.Fatalf("%d classes", len(snaps))
 	}
@@ -193,7 +241,7 @@ func runScript(c *Controller, steps []scriptStep) ([]Decision, []ClassSnapshot) 
 		c.Observe(s.class, s.snrDB, s.nodes, q)
 		out = append(out, d)
 	}
-	return out, c.Snapshot()
+	return out, c.Snapshot(sphere.SortedDFS)
 }
 
 // syntheticTrace builds a reproducible mixed-pressure script from a seed,
@@ -255,7 +303,7 @@ func TestConcurrentObserveDecide(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	snaps := c.Snapshot()
+	snaps := c.Snapshot(sphere.SortedDFS)
 	if len(snaps) != 2 {
 		t.Fatalf("%d classes", len(snaps))
 	}
@@ -274,13 +322,21 @@ func TestConcurrentObserveDecide(t *testing.T) {
 }
 
 func TestLadderPoliciesBuildOnAccelerator(t *testing.T) {
-	// Every rung of the stock ladder must be servable by a square-QAM
-	// accelerator — a ladder entry that cannot build would strand the
+	// Every rung of the stock ladder must be servable by an accelerator on
+	// its engine — a ladder entry that cannot build would strand the
 	// controller at decide time.
-	acc := core.MustNew(fpga.Optimized, constellation.QAM4, 6, 6, core.Options{})
-	for _, l := range DefaultLevels(true, 4096) {
-		if err := acc.CheckPolicy(l.Policy); err != nil {
-			t.Errorf("level %q unservable: %v", l.Name, err)
+	for _, tc := range []struct {
+		engine sphere.Strategy
+		mod    constellation.Modulation
+	}{
+		{sphere.RealSE, constellation.QAM4},
+		{sphere.SortedDFS, constellation.BPSK},
+	} {
+		acc := core.MustNew(fpga.Optimized, tc.mod, 6, 6, core.Options{Strategy: tc.engine})
+		for _, l := range DefaultLevels(tc.engine, 4096) {
+			if err := acc.CheckPolicy(l.Policy); err != nil {
+				t.Errorf("%v: level %q unservable: %v", tc.engine, l.Name, err)
+			}
 		}
 	}
 }

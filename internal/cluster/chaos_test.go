@@ -14,6 +14,7 @@ import (
 	"repro/internal/mimo"
 	"repro/internal/rng"
 	"repro/internal/serve"
+	"repro/internal/sphere"
 )
 
 // newRealShard spins up a genuine sdserver stack — scheduler, workers, HTTP
@@ -21,8 +22,14 @@ import (
 // same code path production shards run.
 func newRealShard(t *testing.T) *httptest.Server {
 	t.Helper()
+	return newRealShardOn(t, sphere.SortedDFS)
+}
+
+// newRealShardOn is newRealShard serving the given search engine.
+func newRealShardOn(t *testing.T, engine sphere.Strategy) *httptest.Server {
+	t.Helper()
 	s, err := serve.New(serve.Config{MaxBatch: 4, Workers: 1}, func() (serve.Backend, error) {
-		return core.New(fpga.Optimized, testMIMO.Mod, testMIMO.Tx, testMIMO.Rx, core.Options{ScalarEval: true})
+		return core.New(fpga.Optimized, testMIMO.Mod, testMIMO.Tx, testMIMO.Rx, core.Options{ScalarEval: true, Strategy: engine})
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)

@@ -183,8 +183,9 @@ type PolicyFanoutResponse struct {
 
 // policyFanout performs one policy exchange (method, optional body) against
 // every shard concurrently and reports per-shard outcomes in ring order,
-// plus whether every shard answered 200.
-func (h *handler) policyFanout(ctx context.Context, method string, body []byte) (PolicyFanoutResponse, bool) {
+// whether every shard answered 200, and whether every shard refused the
+// request with a 4xx.
+func (h *handler) policyFanout(ctx context.Context, method string, body []byte) (out PolicyFanoutResponse, allOK, allRefused bool) {
 	h.p.mu.RLock()
 	ids := append([]string(nil), h.p.ring.Shards()...)
 	shards := make([]*shard, len(ids))
@@ -193,8 +194,9 @@ func (h *handler) policyFanout(ctx context.Context, method string, body []byte) 
 	}
 	h.p.mu.RUnlock()
 
-	out := PolicyFanoutResponse{APIVersion: serve.APIVersion, Shards: make([]ShardPolicyResult, len(ids))}
-	allOK := true
+	out = PolicyFanoutResponse{APIVersion: serve.APIVersion, Shards: make([]ShardPolicyResult, len(ids))}
+	allOK = true
+	refused := 0
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for i := range ids {
@@ -238,6 +240,11 @@ func (h *handler) policyFanout(ctx context.Context, method string, body []byte) 
 				res.Error = err.Error()
 			} else if resp.StatusCode != http.StatusOK {
 				res.Error = fmt.Sprintf("shard answered %d: %s", resp.StatusCode, raw)
+				if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+					mu.Lock()
+					refused++
+					mu.Unlock()
+				}
 			} else if json.Valid(raw) {
 				res.Policy = json.RawMessage(raw)
 				return
@@ -250,19 +257,20 @@ func (h *handler) policyFanout(ctx context.Context, method string, body []byte) 
 		}()
 	}
 	wg.Wait()
-	return out, allOK
+	return out, allOK, len(ids) > 0 && refused == len(ids)
 }
 
 // policyGet aggregates every shard's live decode-policy state.
 func (h *handler) policyGet(w http.ResponseWriter, r *http.Request) {
-	out, _ := h.policyFanout(r.Context(), http.MethodGet, nil)
+	out, _, _ := h.policyFanout(r.Context(), http.MethodGet, nil)
 	writeJSON(w, http.StatusOK, out)
 }
 
-// policyPut broadcasts a policy change to every shard. The body is vetted
-// before the fan-out so a malformed spelling fails fast without touching any
-// shard; a partial broadcast answers 502 with per-shard outcomes so the
-// operator can see which shards moved.
+// policyPut broadcasts a policy change to every shard. A malformed body fails
+// fast without touching any shard. The policy spelling itself is vetted by
+// each shard, relative to the engine it serves, so the proxy gives the verdict
+// a shard would: 400 when every shard refuses it, and 502 with per-shard
+// outcomes when only some shards moved.
 func (h *handler) policyPut(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -276,15 +284,12 @@ func (h *handler) policyPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("malformed request body: %w", err))
 		return
 	}
-	if upd.Policy != serve.PolicyModeAdaptive {
-		if _, err := core.ParsePolicy(upd.Policy); err != nil {
-			writeError(w, http.StatusBadRequest, serve.CodeInvalidInput, err)
-			return
-		}
-	}
-	out, allOK := h.policyFanout(r.Context(), http.MethodPut, body)
+	out, allOK, allRefused := h.policyFanout(r.Context(), http.MethodPut, body)
 	code := http.StatusOK
-	if !allOK {
+	switch {
+	case allRefused:
+		code = http.StatusBadRequest
+	case !allOK:
 		code = http.StatusBadGateway
 	}
 	writeJSON(w, code, out)

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/sphere"
 )
 
 // TestPolicyFanout drives the proxy's GET/PUT /v1/policy surface against two
 // real sdserver-stack shards: GET aggregates each shard's own policy state,
-// PUT broadcasts a pin to every shard, a malformed spelling fails fast
-// without touching any shard, and a dead shard turns a broadcast into 502
+// PUT broadcasts a pin to every shard, a spelling every shard refuses answers
+// 400 without moving any shard, and a dead shard turns a broadcast into 502
 // with per-shard outcomes.
 func TestPolicyFanout(t *testing.T) {
 	shards := []*httptest.Server{newRealShard(t), newRealShard(t)}
@@ -82,14 +83,18 @@ func TestPolicyFanout(t *testing.T) {
 		}
 	}
 
-	// A bad spelling is rejected at the proxy: 400, no shard touched.
+	// ℓ∞ is only valid on the real-valued engine: both sorted-dfs shards
+	// refuse it, so the proxy answers 400 and no shard moves.
 	resp, err = put("norm=linf")
 	if err != nil {
 		t.Fatalf("PUT bad policy: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad PUT status %d", resp.StatusCode)
+	var refused PolicyFanoutResponse
+	mustDecode(t, resp, http.StatusBadRequest, &refused)
+	for i, sr := range refused.Shards {
+		if sr.Error == "" {
+			t.Fatalf("shard %d accepted norm=linf: %+v", i, sr)
+		}
 	}
 	out = getFanout(http.StatusOK)
 	for i := range out.Shards {
@@ -116,5 +121,59 @@ func TestPolicyFanout(t *testing.T) {
 	}
 	if live != 1 || dead != 1 {
 		t.Fatalf("partial broadcast outcomes live=%d dead=%d: %+v", live, dead, partial)
+	}
+}
+
+// TestPolicyPutVettedByShards: the proxy holds no policy parser of its own.
+// A spelling is relative to the engine each shard serves, so norm=linf moves
+// an rvd-se shard and is refused by a sorted-dfs one: the proxy answers 200
+// on an all-rvd-se ring and 502 with per-shard outcomes on a mixed one.
+func TestPolicyPutVettedByShards(t *testing.T) {
+	put := func(front string) *http.Response {
+		t.Helper()
+		body, _ := json.Marshal(serve.PolicyUpdate{Policy: "norm=linf"})
+		req, err := http.NewRequest(http.MethodPut, front+"/v1/policy", bytesReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("PUT /v1/policy: %v", err)
+		}
+		return resp
+	}
+	proxy := func(shards ...*httptest.Server) string {
+		t.Helper()
+		urls := make([]string, len(shards))
+		for i, s := range shards {
+			urls[i] = s.URL
+		}
+		p, err := New(Config{Shards: urls, Fallback: testFallback})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(p.Close)
+		front := httptest.NewServer(NewHandler(p))
+		t.Cleanup(front.Close)
+		return front.URL
+	}
+
+	var out PolicyFanoutResponse
+	mustDecode(t, put(proxy(newRealShardOn(t, sphere.RealSE), newRealShardOn(t, sphere.RealSE))), http.StatusOK, &out)
+	for i, sr := range out.Shards {
+		var pi serve.PolicyInfo
+		if sr.Error != "" || json.Unmarshal(sr.Policy, &pi) != nil || pi.Policy != "norm=linf" {
+			t.Fatalf("rvd-se shard %d: %+v", i, sr)
+		}
+	}
+
+	rvd, dfs := newRealShardOn(t, sphere.RealSE), newRealShardOn(t, sphere.SortedDFS)
+	var mixed PolicyFanoutResponse
+	mustDecode(t, put(proxy(rvd, dfs)), http.StatusBadGateway, &mixed)
+	for _, sr := range mixed.Shards {
+		if moved := sr.Error == ""; moved != (sr.URL == rvd.URL) {
+			t.Fatalf("mixed ring: shard %s moved=%v: %+v", sr.URL, moved, sr)
+		}
 	}
 }

@@ -53,7 +53,8 @@ type Options struct {
 	// Zero means 1.
 	Pipelines int
 	// InitialRadiusSq optionally fixes the starting sphere; zero keeps the
-	// decoder's default (+Inf, first leaf sets it).
+	// strategy's default start (+Inf for SortedDFS, 2·N·σ² for ℓ² RealSE;
+	// see sphere.Config.InitialRadiusSq).
 	InitialRadiusSq float64
 	// MaxNodes bounds each decode's tree expansions. Exhaustion yields a
 	// flagged degraded result (the anytime contract), never an error. Zero

@@ -16,7 +16,7 @@ import (
 // travels the whole stack — core.Options.Policy configures an accelerator,
 // WithPolicy retargets a single DecodeBatch call, internal/adapt emits one
 // per request class, and sdserver's /v1/policy endpoint round-trips it as
-// the String/ParsePolicy spelling.
+// the StringOn/ParsePolicyOn spelling relative to the engine it serves.
 //
 // The zero value is the paper's default pipeline (SortedDFS, ℓ², unbounded
 // radius and budget). DecodePolicy is comparable, so it can key caches of
@@ -34,7 +34,8 @@ type DecodePolicy struct {
 	// sphere r² = RadiusScale·N·σ² instead of +Inf. This bounds the
 	// heavy-tail excursions of depth-first search on bad channel draws while
 	// staying exact (an empty sphere retries with a doubled radius). Zero
-	// keeps the strategy's default start.
+	// keeps the strategy's default start, which for ℓ² rvd-se is already
+	// 2·N·σ² (see sphere.Config.InitialRadiusSq).
 	RadiusScale float64
 	// MaxNodes, when positive, caps each frame's tree expansions; exhaustion
 	// degrades the result (anytime contract), never errors. Zero keeps the
@@ -90,16 +91,21 @@ func (p DecodePolicy) Validate() error {
 	return nil
 }
 
-// String renders the canonical spelling: "default", "linear", or a
-// comma-separated key=value list ("strategy=rvd-se,norm=linf",
-// "radius-scale=2,max-nodes=4096"). ParsePolicy(p.String()) == p for
-// every valid policy.
-func (p DecodePolicy) String() string {
+// String renders the canonical spelling relative to the library default
+// engine, SortedDFS: "default", "linear", or a comma-separated key=value
+// list ("strategy=rvd-se,norm=linf", "radius-scale=2,max-nodes=4096").
+// ParsePolicy(p.String()) == p for every valid policy.
+func (p DecodePolicy) String() string { return p.StringOn(sphere.SortedDFS) }
+
+// StringOn renders p for a deployment whose engine is base: the strategy
+// is spelled only when it differs from base, so "default" names base's own
+// search. ParsePolicyOn(base, p.StringOn(base)) == p for every valid policy.
+func (p DecodePolicy) StringOn(base sphere.Strategy) string {
 	if p.Linear {
 		return "linear"
 	}
 	var parts []string
-	if p.Strategy != sphere.SortedDFS {
+	if p.Strategy != base {
 		parts = append(parts, "strategy="+strategyNames[p.Strategy])
 	}
 	if p.Norm != sphere.NormL2 {
@@ -125,15 +131,21 @@ func (p DecodePolicy) String() string {
 // radius-scale, max-nodes, verify), the bare flag "verify", or a bare
 // strategy/norm name ("rvd-se", "linf"). Strategy and norm values go through
 // sphere.ParseStrategy / sphere.ParseNorm, so every spelling those accept is
-// accepted here — the one table all binaries share.
-func ParsePolicy(s string) (DecodePolicy, error) {
-	var p DecodePolicy
+// accepted here — the one table all binaries share. A spelling without a
+// strategy selects SortedDFS.
+func ParsePolicy(s string) (DecodePolicy, error) { return ParsePolicyOn(sphere.SortedDFS, s) }
+
+// ParsePolicyOn is ParsePolicy for a deployment whose engine is base: a
+// spelling without a strategy selects base, so "default" and
+// "max-nodes=4096" run the engine the deployment serves, and
+// "strategy=sorted-dfs" still selects the paper's engine.
+func ParsePolicyOn(base sphere.Strategy, s string) (DecodePolicy, error) {
+	p := DecodePolicy{Strategy: base}
 	switch strings.TrimSpace(strings.ToLower(s)) {
 	case "", "default":
 		return p, nil
 	case "linear":
-		p.Linear = true
-		return p, nil
+		return DecodePolicy{Linear: true}, nil
 	}
 	for _, item := range strings.Split(s, ",") {
 		item = strings.TrimSpace(item)

@@ -41,6 +41,57 @@ func TestPolicyStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPolicySpellingRelativeToEngine: on a deployment serving base, a
+// spelling without strategy= selects base, every valid policy round-trips
+// through StringOn/ParsePolicyOn, and the library spelling is the SortedDFS
+// case of the same code.
+func TestPolicySpellingRelativeToEngine(t *testing.T) {
+	policies := []DecodePolicy{
+		{},
+		{Linear: true},
+		{Strategy: sphere.RealSE},
+		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
+		{Strategy: sphere.RealSE, RadiusScale: 1.5, MaxNodes: 4096},
+		{RadiusScale: 2},
+		{Strategy: sphere.FSD, VerifyGEMM: true},
+	}
+	for _, base := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE, sphere.PlainDFS} {
+		for _, p := range policies {
+			s := p.StringOn(base)
+			back, err := ParsePolicyOn(base, s)
+			if err != nil || back != p {
+				t.Errorf("base %v: %+v spelled %q parses to %+v (err %v)", base, p, s, back, err)
+			}
+		}
+		for in, want := range map[string]DecodePolicy{
+			"":                      {Strategy: base},
+			"default":               {Strategy: base},
+			"linear":                {Linear: true},
+			"max-nodes=4096":        {Strategy: base, MaxNodes: 4096},
+			"strategy=sorted-dfs":   {Strategy: sphere.SortedDFS},
+			"rvd-se,radius-scale=2": {Strategy: sphere.RealSE, RadiusScale: 2},
+		} {
+			if got, err := ParsePolicyOn(base, in); err != nil || got != want {
+				t.Errorf("base %v: ParsePolicyOn(%q) = %+v (err %v), want %+v", base, in, got, err, want)
+			}
+		}
+	}
+	if got := (DecodePolicy{Strategy: sphere.RealSE, MaxNodes: 4096}).StringOn(sphere.RealSE); got != "max-nodes=4096" {
+		t.Errorf("rvd-se budget on rvd-se spelled %q", got)
+	}
+	if got := (DecodePolicy{}).StringOn(sphere.RealSE); got != "strategy=sorted-dfs" {
+		t.Errorf("sorted-dfs on rvd-se spelled %q", got)
+	}
+	// norm=linf names no strategy, so it is valid only where the engine is
+	// rvd-se.
+	if _, err := ParsePolicyOn(sphere.RealSE, "norm=linf"); err != nil {
+		t.Errorf("norm=linf on rvd-se: %v", err)
+	}
+	if _, err := ParsePolicyOn(sphere.SortedDFS, "norm=linf"); err == nil {
+		t.Error("norm=linf on sorted-dfs accepted")
+	}
+}
+
 func TestPolicyStringCanonical(t *testing.T) {
 	cases := []struct {
 		p    DecodePolicy

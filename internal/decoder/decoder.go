@@ -23,7 +23,8 @@ import (
 )
 
 // Counters is the operation trace of one Decode call. Counts are exact for
-// the work the algorithm actually performed (no estimates).
+// the work the algorithm actually performed (no estimates), summed over any
+// radius-doubling retries.
 type Counters struct {
 	// Tree-search activity (zero for linear decoders).
 	NodesExpanded     int64 // nodes popped and branched

@@ -89,9 +89,11 @@ func (s *Scheduler) PolicyMode() string {
 
 // SetPolicy changes the decode-policy state at runtime (the PUT /v1/policy
 // verb). spec is either "adaptive" — resume the configured controller — or
-// any core.ParsePolicy spelling, which pins that policy for every batch until
-// the next SetPolicy. Pins are vetted against the backend before taking
-// effect, so a live service cannot be steered onto an unservable policy.
+// any core.ParsePolicyOn spelling relative to the backend's engine (a spec
+// without strategy= runs the engine the server serves), which pins that
+// policy for every batch until the next SetPolicy. Pins are vetted against
+// the backend before taking effect, so a live service cannot be steered onto
+// an unservable policy.
 func (s *Scheduler) SetPolicy(spec string) error {
 	if spec == PolicyModeAdaptive {
 		if s.cfg.Controller == nil {
@@ -103,7 +105,7 @@ func (s *Scheduler) SetPolicy(spec string) error {
 		s.polMu.Unlock()
 		return nil
 	}
-	p, err := core.ParsePolicy(spec)
+	p, err := core.ParsePolicyOn(s.basePol.Strategy, spec)
 	if err != nil {
 		return err
 	}
@@ -142,22 +144,25 @@ type PolicyInfo struct {
 	Decisions map[string]uint64     `json:"decisions,omitempty"`
 }
 
-// PolicyInfo snapshots the decode-policy state.
+// PolicyInfo snapshots the decode-policy state. Policies are spelled
+// relative to the backend's engine, so every echoed spelling re-parses to the
+// same policy through SetPolicy on this server.
 func (s *Scheduler) PolicyInfo() PolicyInfo {
+	engine := s.basePol.Strategy
 	info := PolicyInfo{APIVersion: APIVersion, Mode: s.PolicyMode()}
 	switch info.Mode {
 	case PolicyModeOverride:
 		s.polMu.RLock()
-		info.Policy = s.polOverride.String()
+		info.Policy = s.polOverride.StringOn(engine)
 		s.polMu.RUnlock()
 	case PolicyModeFixed:
-		info.Policy = s.cfg.DecodePolicy.String()
+		info.Policy = s.cfg.DecodePolicy.StringOn(engine)
 	default:
 		info.Policy = info.Mode
 	}
 	if ctrl := s.cfg.Controller; ctrl != nil {
 		for _, l := range ctrl.Levels() {
-			li := PolicyLevelInfo{Name: l.Name, Policy: l.Policy.String()}
+			li := PolicyLevelInfo{Name: l.Name, Policy: l.Policy.StringOn(engine)}
 			if !math.IsInf(l.MaxPressure, 1) {
 				li.MaxPressure = l.MaxPressure
 			}
@@ -166,7 +171,7 @@ func (s *Scheduler) PolicyInfo() PolicyInfo {
 			}
 			info.Levels = append(info.Levels, li)
 		}
-		info.Classes = ctrl.Snapshot()
+		info.Classes = ctrl.Snapshot(engine)
 	}
 	s.m.mu.Lock()
 	if len(s.m.policyDecisions) > 0 {

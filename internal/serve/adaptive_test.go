@@ -12,6 +12,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/decoder"
+	"repro/internal/fpga"
 	"repro/internal/sphere"
 )
 
@@ -62,7 +63,7 @@ func TestNewRejectsUnservableFixedPolicy(t *testing.T) {
 }
 
 func TestAdaptivePolicyDecidesAndObserves(t *testing.T) {
-	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(true, 4096)})
+	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(sphere.SortedDFS, 4096)})
 	s := newScheduler(t, Config{Controller: ctrl})
 	if got := s.PolicyMode(); got != PolicyModeAdaptive {
 		t.Fatalf("mode %q", got)
@@ -79,7 +80,7 @@ func TestAdaptivePolicyDecidesAndObserves(t *testing.T) {
 		t.Fatalf("no adaptive decisions: %+v", st.PolicyDecisions)
 	}
 	// The feedback loop must have populated the controller's default class.
-	snaps := ctrl.Snapshot()
+	snaps := ctrl.Snapshot(sphere.SortedDFS)
 	if len(snaps) != 1 || snaps[0].Class != "default" {
 		t.Fatalf("controller classes %+v", snaps)
 	}
@@ -92,7 +93,7 @@ func TestAdaptivePolicyDecidesAndObserves(t *testing.T) {
 }
 
 func TestSetPolicyOverrideAndResume(t *testing.T) {
-	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(true, 4096)})
+	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(sphere.SortedDFS, 4096)})
 	s := newScheduler(t, Config{Controller: ctrl})
 
 	if err := s.SetPolicy("linear"); err != nil {
@@ -137,7 +138,7 @@ func TestSetPolicyRejectsBadSpecs(t *testing.T) {
 }
 
 func TestPolicyHTTPRoundTrip(t *testing.T) {
-	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(true, 4096)})
+	ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(sphere.SortedDFS, 4096)})
 	s := newScheduler(t, Config{Controller: ctrl})
 	h := NewHandler(s, testMIMO.Tx, testMIMO.Rx, "qam4")
 	srv := httptest.NewServer(h)
@@ -205,5 +206,99 @@ func TestPolicyHTTPRoundTrip(t *testing.T) {
 	}
 	if body := get("/v1/policy"); body["policy"] != "radius-scale=2,max-nodes=4096" {
 		t.Fatalf("bad PUT mutated state: %v", body["policy"])
+	}
+}
+
+// TestPolicySpellingFollowsServedEngine: a policy without strategy= runs the
+// engine the backend serves, on both kinds of server, and every spelling
+// GET /v1/policy echoes re-parses to the same policy there. The engine is
+// observable per frame: sorted-dfs sorts children (CompareOps > 0), rvd-se
+// enumerates them analytically (CompareOps == 0).
+func TestPolicySpellingFollowsServedEngine(t *testing.T) {
+	for _, engine := range []sphere.Strategy{sphere.RealSE, sphere.SortedDFS} {
+		t.Run(engine.String(), func(t *testing.T) {
+			ctrl := adapt.MustNewController(adapt.Config{Levels: adapt.DefaultLevels(engine, 4096)})
+			s, err := New(Config{Controller: ctrl}, func() (Backend, error) {
+				return core.New(fpga.Optimized, testMIMO.Mod, testMIMO.Tx, testMIMO.Rx,
+					core.Options{ScalarEval: true, Strategy: engine})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			servedBy := func(seed uint64) sphere.Strategy {
+				t.Helper()
+				resp := submitAll(t, s, 1, seed)[0]
+				if resp.Result.Quality != decoder.QualityExact {
+					t.Fatalf("quality %v", resp.Result.Quality)
+				}
+				if resp.Result.Counters.CompareOps > 0 {
+					return sphere.SortedDFS
+				}
+				return sphere.RealSE
+			}
+			if got := servedBy(1); got != engine {
+				t.Fatalf("adaptive server decoded on %v", got)
+			}
+
+			// The ladder is spelled relative to the engine: no strategy=,
+			// and neither the ℓ∞ nor the fixed-complexity rung.
+			info := s.PolicyInfo()
+			if len(info.Levels) == 0 || len(info.Classes) == 0 {
+				t.Fatalf("no ladder or class state echoed: %+v", info)
+			}
+			for _, c := range info.Classes {
+				if c.Policy != info.Levels[0].Policy {
+					t.Fatalf("class %q at %q spelled %q, want the exact rung's %q", c.Class, c.Level, c.Policy, info.Levels[0].Policy)
+				}
+			}
+			for _, l := range info.Levels {
+				if strings.Contains(l.Policy, "strategy=") || strings.Contains(l.Policy, "linf") || strings.Contains(l.Policy, "fsd") {
+					t.Fatalf("rung %q spelled %q", l.Name, l.Policy)
+				}
+				if err := s.SetPolicy(l.Policy); err != nil {
+					t.Fatalf("echoed rung %q does not re-parse: %v", l.Policy, err)
+				}
+				if got := s.PolicyInfo().Policy; got != l.Policy {
+					t.Fatalf("rung %q pinned back as %q", l.Policy, got)
+				}
+			}
+
+			// A pin without strategy= serves the engine; strategy=sorted-dfs
+			// always selects the paper's engine, and echoes as such only
+			// where it is not already the engine.
+			if err := s.SetPolicy("max-nodes=4096"); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.PolicyInfo().Policy; got != "max-nodes=4096" {
+				t.Fatalf("pin echoed %q", got)
+			}
+			if got := servedBy(2); got != engine {
+				t.Fatalf("pin without strategy= decoded on %v", got)
+			}
+			if err := s.SetPolicy("strategy=sorted-dfs"); err != nil {
+				t.Fatal(err)
+			}
+			want := "strategy=sorted-dfs"
+			if engine == sphere.SortedDFS {
+				want = "default"
+			}
+			if got := s.PolicyInfo().Policy; got != want {
+				t.Fatalf("sorted-dfs pin echoed %q, want %q", got, want)
+			}
+			if got := servedBy(3); got != sphere.SortedDFS {
+				t.Fatalf("strategy=sorted-dfs decoded on %v", got)
+			}
+			if err := s.SetPolicy(want); err != nil || servedBy(4) != sphere.SortedDFS {
+				t.Fatalf("echo %q did not re-pin sorted-dfs (err %v)", want, err)
+			}
+
+			// norm=linf names no strategy, so it is servable exactly where
+			// the engine is rvd-se.
+			err = s.SetPolicy("norm=linf")
+			if (err == nil) != (engine == sphere.RealSE) {
+				t.Fatalf("norm=linf on %v: err %v", engine, err)
+			}
+		})
 	}
 }

@@ -370,8 +370,9 @@ func (h *handler) config(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// PolicyUpdate is the JSON body of PUT /v1/policy: a core.ParsePolicy
-// spelling to pin, or "adaptive" to resume the configured controller.
+// PolicyUpdate is the JSON body of PUT /v1/policy: a core.ParsePolicyOn
+// spelling (relative to the served engine) to pin, or "adaptive" to resume
+// the configured controller.
 type PolicyUpdate struct {
 	Policy string `json:"policy"`
 }

@@ -164,7 +164,8 @@ type Scheduler struct {
 
 	// basePol is the backend's default decode policy (zero when the backend
 	// does not expose one); auditModeFor consults it so default-policy
-	// batches get the re-encode audit matching their norm and precision.
+	// batches get the re-encode audit matching their norm and precision, and
+	// its Strategy is the engine that policy spellings are relative to.
 	basePol core.DecodePolicy
 
 	// Resilience layer: one supervised control block per worker, plus the

@@ -395,10 +395,14 @@ func (d *SD) decodeFallbackPreReal(pre *Preprocessed, y cmatrix.Vector, qrFlops 
 	}, nil
 }
 
-// initialRadiusReal picks the starting r² for the real search. The rules
-// mirror initialRadius; the ℓ∞ automatic radius covers the expected maximum
-// of the 2M squared real noise components (each N(0, σ²/2)) instead of
-// their sum: E[max] ≈ σ²·ln(2M), scaled by RadiusScale for margin.
+// initialRadiusReal picks the starting r² for the real search. Unlike the
+// complex depth-first strategies, the ℓ² search starts from the noise-scaled
+// sphere RadiusScale·N·σ² even without AutoRadius: an empty sphere retries
+// with a doubled radius, so the start only bounds the early excursions a
+// +Inf sphere pays for before its first leaf. The ℓ∞ search keeps +Inf
+// unless AutoRadius is set; its automatic radius covers the expected
+// maximum of the 2M squared real noise components (each N(0, σ²/2))
+// instead of their sum: E[max] ≈ σ²·ln(2M), scaled by RadiusScale.
 func (d *SD) initialRadiusReal(nRx, dim int, noiseVar float64) float64 {
 	if d.cfg.InitialRadiusSq > 0 {
 		return d.cfg.InitialRadiusSq
@@ -407,7 +411,7 @@ func (d *SD) initialRadiusReal(nRx, dim int, noiseVar float64) float64 {
 		// Resolved in decodePreReal once the factors and ȳr exist.
 		return math.Inf(1)
 	}
-	if d.cfg.AutoRadius {
+	if d.cfg.AutoRadius || d.cfg.Norm == NormL2 {
 		var r float64
 		if d.cfg.Norm == NormLInf {
 			r = d.cfg.RadiusScale * noiseVar * math.Log(float64(dim))

@@ -169,34 +169,46 @@ func (s *search) computeYbar(f *cmatrix.QRFactorization, y cmatrix.Vector) cmatr
 	return s.ybar
 }
 
-// beginAttempt resets the per-attempt state (MST, counters, incumbent) for
-// a fresh traversal at the given radius. Retries call it again with a
-// doubled radius.
+// beginAttempt starts a decode's search at the given radius: it zeroes the
+// counters, announces the search to the recorder, and resets the traversal
+// state (see restartAt).
 func (s *search) beginAttempt(radiusSq float64, deadline time.Time) {
+	s.deadline = deadline
+	s.counters = decoder.Counters{}
+	if s.rec != nil {
+		s.rec.SearchStart(s.m, s.p, radiusSq)
+	}
+	s.restartAt(radiusSq)
+}
+
+// restartAt resets the traversal state (MST, incumbent, radius trajectory)
+// for a fresh traversal at the given radius. Radius-doubling retries call it
+// directly: the counters, the recorder's tallies and the node budget keep
+// running across attempts, so they account for every expansion the decode
+// paid for.
+func (s *search) restartAt(radiusSq float64) {
 	s.mst.Reset(s.m)
 	s.radiusSq = radiusSq
 	s.bestPD = math.Inf(1)
 	s.haveBest = false
 	s.radii = s.radii[:0]
-	s.deadline = deadline
 	s.stopReason = ""
-	s.counters = decoder.Counters{}
 	for i := range s.pathIDs {
 		s.pathIDs[i] = -1
 	}
-	if s.rec != nil {
-		// Each retry re-announces the attempt, resetting the recorder's
-		// per-level tallies — they must describe the same (final) attempt
-		// the counters describe.
-		s.rec.SearchStart(s.m, s.p, radiusSq)
-	}
 }
+
+// maxRadiusDoublings bounds the retries of an empty sphere. A depth-first
+// search that exhausts them runs one last attempt at r² = +Inf, which
+// always reaches a leaf, so a start guessed too small (a tiny noise
+// variance, say) never fails a decode that an unbounded start would finish.
+// BFS cannot search an unbounded sphere and reports ErrNoLeaf instead.
+const maxRadiusDoublings = 60
 
 // runAttempts searches from radius until a leaf is found, doubling an empty
 // sphere (the standard retry when the initial radius was guessed too small).
 // preFlops and loads are the preprocessing work charged to the first
-// attempt; each retry re-pays loads and carries the wasted flops forward so
-// the platform models pay for them. A budget or deadline stop reports
+// attempt; each retry re-pays loads. A budget or deadline stop reports
 // truncated under the anytime contract and an error under HardBudget.
 func (s *search) runAttempts(radius float64, deadline time.Time, preFlops, loads int64) (retries int, truncated bool, err error) {
 	s.beginAttempt(radius, deadline)
@@ -223,12 +235,13 @@ func (s *search) runAttempts(radius float64, deadline time.Time, preFlops, loads
 		}
 		radius *= 2
 		retries++
-		if retries > 60 {
-			return retries, false, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
+		if retries > maxRadiusDoublings {
+			if s.cfg.Strategy == BFS {
+				return retries, false, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
+			}
+			radius = math.Inf(1)
 		}
-		carried := s.counters.TotalFlops()
-		s.beginAttempt(radius, deadline)
-		s.counters.OtherFlops += carried
+		s.restartAt(radius)
 		s.counters.RegularLoads += loads
 	}
 }

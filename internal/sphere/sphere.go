@@ -160,17 +160,25 @@ type Config struct {
 	// Norm selects the partial-distance metric; the zero value is NormL2.
 	// NormLInf is only valid with the RealSE strategy.
 	Norm Norm
-	// InitialRadiusSq is the starting r². Zero means automatic: +Inf for
-	// the depth-first strategies (first leaf sets the radius, the
-	// Geosphere approach), and RadiusScale·N·σ² for BFS, which cannot
-	// reach a leaf early and must start with a finite sphere.
+	// InitialRadiusSq is the starting r². Zero means automatic, per
+	// strategy:
+	//   - SortedDFS, PlainDFS, BestFS, FSD: +Inf (first leaf sets the
+	//     radius, the Geosphere approach the paper reproduces);
+	//   - BFS: RadiusScale·N·σ², since it cannot reach a leaf early and
+	//     must start with a finite sphere;
+	//   - RealSE under NormL2: RadiusScale·N·σ², the noise-scaled sphere
+	//     that bounds the depth-first heavy tail (an empty sphere retries
+	//     with a doubled radius, so the search stays exact);
+	//   - RealSE under NormLInf: +Inf.
+	// math.Inf(1) requests an unbounded start for every strategy.
 	InitialRadiusSq float64
 	// RadiusScale scales the automatic radius r² = scale·N·σ².
 	// Zero means 2, which covers the expected noise ball ‖n‖² ≈ N·σ²
 	// with comfortable margin.
 	RadiusScale float64
 	// AutoRadius enables the noise-statistics initial radius
-	// r² = RadiusScale·N·σ² for every strategy, not just BFS. This is
+	// r² = RadiusScale·N·σ² for every strategy, not just the ones that
+	// start there by default (BFS and ℓ² RealSE; see InitialRadiusSq). This is
 	// Algorithm 1's user-set initial radius: it bounds the worst-case
 	// depth-first excursions on pathological channel draws (the heavy tail
 	// of the decode-time distribution) while remaining exact, because a
@@ -208,8 +216,8 @@ type Config struct {
 	// per level (the K-best variant GPU implementations use to bound
 	// memory). Zero means unlimited.
 	KBest int
-	// MaxNodes bounds the number of node expansions. Zero means 50
-	// million. A search that exhausts the budget returns the best leaf
+	// MaxNodes bounds the number of node expansions of one decode, summed
+	// over its radius-doubling retries. Zero means 50 million. A search that exhausts the budget returns the best leaf
 	// found so far (QualityBestEffort) or the linear fallback point
 	// (QualityFallback) — it aborts with ErrBudget only when HardBudget is
 	// set.

@@ -73,8 +73,8 @@ func TestRecorderCountsMatchCounters(t *testing.T) {
 }
 
 // TestRecorderRetryResets: a search that restarts with a doubled radius must
-// re-announce the attempt, so the final tallies describe the attempt that
-// produced the decision — the same attempt decoder.Counters describes.
+// keep the recorder in step with decoder.Counters: both tally every attempt,
+// and the trace keeps the start it was announced at.
 func TestRecorderRetryResets(t *testing.T) {
 	r := rng.New(72)
 	c := constellation.New(constellation.QAM16)
@@ -97,7 +97,10 @@ func TestRecorderRetryResets(t *testing.T) {
 		t.Fatalf("trace reports %d retries, search reports %d", rec.Retries, info.Retries)
 	}
 	if got, want := rec.NodesVisited(), res.Counters.NodesExpanded; got != want {
-		t.Fatalf("after retries: Σ visits %d, counters %d (per-attempt reset broken)", got, want)
+		t.Fatalf("after retries: Σ visits %d, counters %d", got, want)
+	}
+	if rec.InitialRadiusSq != 1e-9 {
+		t.Fatalf("trace start r² = %v, want the first attempt's 1e-9", rec.InitialRadiusSq)
 	}
 	if rec.FinalRadiusSq != info.FinalRadiusSq {
 		t.Fatalf("final radius² %v vs %v", rec.FinalRadiusSq, info.FinalRadiusSq)

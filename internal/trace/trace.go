@@ -22,12 +22,12 @@ import "time"
 // Depth conventions follow the MST: the root sits at depth 0, a full leaf at
 // depth M. NodeExpanded reports the depth of the node being expanded
 // (0..M−1); Children reports the depth of the children produced by one
-// expansion (1..M). A retried search (radius doubling) calls SearchStart
-// again — per-level tallies reset so they describe the final attempt, the
-// same attempt decoder.Counters describes.
+// expansion (1..M). SearchStart is called once per search: a retried search
+// (radius doubling) keeps reporting into the same tallies, so they cover
+// every attempt, as decoder.Counters does.
 type Recorder interface {
-	// SearchStart begins an attempt over an M-level tree with branching
-	// factor |Ω| = alphabet, searching inside radiusSq (+Inf = unbounded).
+	// SearchStart begins a search over an M-level tree with branching
+	// factor |Ω| = alphabet, starting inside radiusSq (+Inf = unbounded).
 	SearchStart(m, alphabet int, radiusSq float64)
 	// NodeExpanded reports one node expansion at the given depth.
 	NodeExpanded(depth int)
@@ -82,7 +82,7 @@ type SearchTrace struct {
 	Levels []LevelStats
 	// Radius is the shrink trajectory of the final attempt.
 	Radius []RadiusPoint
-	// Duration is SearchStart → SearchEnd of the final attempt.
+	// Duration is SearchStart → SearchEnd, retries included.
 	Duration time.Duration
 
 	start time.Time
@@ -92,8 +92,8 @@ type SearchTrace struct {
 // sphere.Config.Recorder.
 func NewSearchTrace() *SearchTrace { return &SearchTrace{} }
 
-// SearchStart implements Recorder. It resets the per-attempt state so the
-// tallies always describe the attempt that produced the returned decision.
+// SearchStart implements Recorder. It resets the trace, so one trace can
+// record successive searches.
 func (t *SearchTrace) SearchStart(m, alphabet int, radiusSq float64) {
 	t.M, t.Alphabet = m, alphabet
 	t.InitialRadiusSq = radiusSq

@@ -623,8 +623,9 @@ func (a *Accelerator) batchResultFrom(rep *core.BatchReport, name string) *Batch
 // stack: strategy, norm, SNR-scaled initial radius, per-frame node budget,
 // GEMM verification, or the linear-only escape hatch, as one comparable
 // value. See core.DecodePolicy for field semantics; ParsePolicy and
-// DecodePolicy.String round-trip the one canonical spelling shared by the
-// sdserver flag, /v1/policy bodies, and sdbench study labels.
+// DecodePolicy.String round-trip the canonical spelling relative to the
+// library default engine (SortedDFS). sdserver's flag and /v1/policy bodies
+// use the same spelling relative to the engine the server serves.
 type DecodePolicy = core.DecodePolicy
 
 // ParsePolicy parses the canonical DecodePolicy spelling ("default",
