@@ -73,8 +73,9 @@ ofdm-smoke:
 
 # rvd-smoke gates the real-valued Schnorr–Euchner engine: >= 1.3x over the
 # complex SortedDFS+GEMM hot path measured side-by-side, zero comparator
-# work, zero allocs/op, and an sdserver booted with -strategy rvd-se
-# -norm linf advertising the engine and decoding live traffic.
+# work, zero allocs/op, and an sdserver booted with no engine flags
+# advertising rvd-se under l2, decoding live traffic, and answering a
+# norm=linf policy pin with 400.
 rvd-smoke:
 	bash scripts/rvd_smoke.sh
 

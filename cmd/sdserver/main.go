@@ -64,9 +64,7 @@ type options struct {
 	policy     string
 	deadline   time.Duration
 	nodeBudget int64
-	scalarEval bool
 	strategy   string
-	norm       string
 	pprof      bool
 
 	// Decode-policy knobs: a fixed core.DecodePolicy for every batch, or the
@@ -130,10 +128,6 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	// same way sphere.New does.
 	squareQAM := constellation.New(mod).PAMLevels() != nil
 	strat, err := resolveStrategy(o.strategy, o.verifyGEMM, squareQAM)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	norm, err := sphere.ParseNorm(o.norm)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -218,11 +212,12 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 			return be
 		}
 	}
+	// The scalar evaluation path decodes identically and faster in
+	// simulation; -verify-gemm still forces GEMM, which it checks.
 	factory := func() (serve.Backend, error) {
 		return core.New(v, mod, o.tx, o.rx, core.Options{
-			ScalarEval: o.scalarEval,
+			ScalarEval: true,
 			Strategy:   strat,
-			Norm:       norm,
 			VerifyGEMM: o.verifyGEMM,
 		})
 	}
@@ -230,8 +225,7 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	handler := serve.NewHandler(s, o.tx, o.rx, mod.String(),
-		serve.WithDecodeInfo(strat.String(), norm.String()))
+	handler := serve.NewHandler(s, o.tx, o.rx, mod.String())
 	if o.pprof {
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
@@ -245,11 +239,12 @@ func buildServer(o options) (*serve.Scheduler, http.Handler, *faultinject.SDCPla
 	return s, handler, sdcPlan, nil
 }
 
-// resolveStrategy picks the serving engine. An explicit -strategy wins; an
-// empty one means the real-valued Schnorr–Euchner engine for square QAM
-// (exact and comparator-free) and the complex sorted DFS otherwise. The
-// GEMM verification of -verify-gemm only exists on the complex engines, so
-// it keeps an empty -strategy on sorted-dfs and refuses rvd-se.
+// resolveStrategy picks the serving engine. An explicit -strategy wins
+// (core refuses anything but rvd-se and sorted-dfs, and rvd-se under
+// -verify-gemm); an empty one means the real-valued Schnorr–Euchner engine
+// for square QAM (exact and comparator-free) and the complex sorted DFS
+// otherwise. The GEMM verification of -verify-gemm only exists on sorted
+// DFS, so it keeps an empty -strategy there.
 func resolveStrategy(name string, verifyGEMM, squareQAM bool) (sphere.Strategy, error) {
 	if name == "" {
 		if squareQAM && !verifyGEMM {
@@ -257,55 +252,51 @@ func resolveStrategy(name string, verifyGEMM, squareQAM bool) (sphere.Strategy, 
 		}
 		return sphere.SortedDFS, nil
 	}
-	strat, err := sphere.ParseStrategy(name)
-	if err != nil {
-		return 0, err
-	}
-	if verifyGEMM && strat == sphere.RealSE {
-		return 0, fmt.Errorf("-verify-gemm checks GEMM products, which -strategy %s does not compute", name)
-	}
-	return strat, nil
+	return sphere.ParseStrategy(name)
+}
+
+// registerFlags binds every sdserver flag to o on fs and returns the listen
+// address flag; split out so tests can parse argument lists.
+func registerFlags(fs *flag.FlagSet, o *options) *string {
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.IntVar(&o.tx, "tx", 4, "transmit antennas (M)")
+	fs.IntVar(&o.rx, "rx", 4, "receive antennas (N >= M)")
+	fs.StringVar(&o.mod, "mod", "qpsk", "modulation: bpsk, 4qam/qpsk, 16qam, 64qam")
+	fs.StringVar(&o.variant, "variant", "optimized", "FPGA design variant: baseline, optimized")
+	fs.IntVar(&o.maxBatch, "max-batch", 16, "coalescing ceiling: dispatch when a batch reaches this size")
+	fs.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "coalescing deadline: dispatch when the oldest frame has waited this long")
+	fs.IntVar(&o.workers, "workers", 2, "decode workers (one accelerator instance each)")
+	fs.IntVar(&o.queueCap, "queue-cap", 256, "admission queue bound (frames)")
+	fs.StringVar(&o.policy, "policy", "reject", "overload policy: reject, shed-to-linear, block")
+	fs.DurationVar(&o.deadline, "batch-deadline", 0, "modeled-time budget per dispatched batch (0 = none)")
+	fs.Int64Var(&o.nodeBudget, "node-budget", 0, "tree-expansion budget per dispatched batch (0 = none)")
+	fs.StringVar(&o.strategy, "strategy", "", "decode engine: rvd-se or sorted-dfs (default: rvd-se for square QAM without -verify-gemm, else sorted-dfs)")
+	fs.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch: strategy=, radius-scale=, max-nodes=, verify, or linear, e.g. radius-scale=2,max-nodes=4096; without strategy= it runs the served engine (empty = backend default)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "enable the adaptive complexity controller (per-class policy from SNR, node cost, and queue depth)")
+	fs.Float64Var(&o.adaptNodeCeiling, "adapt-node-ceiling", 0, "node-cost EWMA that reads as pressure 1.0 to the controller (0 = default 1048576)")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose Go profiling under /debug/pprof/")
+	fs.BoolVar(&o.noResilience, "no-resilience", false, "disable worker supervision, breakers, and retries (seed behaviour)")
+	fs.IntVar(&o.failThreshold, "breaker-threshold", 0, "consecutive failures tripping a worker's circuit breaker (0 = default 5)")
+	fs.DurationVar(&o.cooldownBase, "breaker-cooldown", 0, "breaker open-dwell jitter base (0 = default 100ms)")
+	fs.DurationVar(&o.cooldownCap, "breaker-cooldown-cap", 0, "breaker open-dwell cap (0 = default 5s)")
+	fs.IntVar(&o.maxRestarts, "max-restarts", 0, "backend restarts per 30s window before quarantine (0 = default 3)")
+	fs.IntVar(&o.retryMax, "retry-max", 0, "extra decode attempts per batch for transient faults (0 = default 2)")
+	fs.Float64Var(&o.retryBudget, "retry-budget", 0, "retry tokens earned per successful batch (0 = default 0.2, negative disables)")
+	fs.DurationVar(&o.hedgeAfter, "hedge-after", 0, "abandon a primary decode running this long and answer from the fallback (0 = off)")
+	fs.Float64Var(&o.hedgeBudget, "hedge-budget", 0, "hedge tokens earned per successful batch (0 = default 0.1)")
+	fs.DurationVar(&o.wedgeTimeout, "wedge-timeout", 0, "declare a primary decode wedged after this long (0 = off)")
+	fs.BoolVar(&o.verifyGEMM, "verify-gemm", false, "ABFT-verify every GEMM product against Huang-Abraham checksums (implies the GEMM evaluation path)")
+	fs.BoolVar(&o.noAudit, "no-audit", false, "disable the serving layer's re-encode result audit (on by default)")
+	fs.IntVar(&o.sdcQuarantine, "sdc-quarantine", 0, "detected silent corruptions per worker per window before quarantine (0 = default 8)")
+	fs.StringVar(&o.chaos, "chaos", "", "chaos plan for worker backends, e.g. panic=0.05,error=0.1,clear-after=500 (empty = off)")
+	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "seed override for the -chaos and -sdc-chaos roll streams")
+	fs.StringVar(&o.sdcChaos, "sdc-chaos", "", "silent-corruption plan for worker backends, e.g. qr=0.05,gemm=0.1,metric=0.05,clear-after=400 (empty = off)")
+	return addr
 }
 
 func main() {
-	var (
-		addr = flag.String("addr", ":8080", "listen address")
-		o    options
-	)
-	flag.IntVar(&o.tx, "tx", 4, "transmit antennas (M)")
-	flag.IntVar(&o.rx, "rx", 4, "receive antennas (N >= M)")
-	flag.StringVar(&o.mod, "mod", "qpsk", "modulation: bpsk, 4qam/qpsk, 16qam, 64qam")
-	flag.StringVar(&o.variant, "variant", "optimized", "FPGA design variant: baseline, optimized")
-	flag.IntVar(&o.maxBatch, "max-batch", 16, "coalescing ceiling: dispatch when a batch reaches this size")
-	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "coalescing deadline: dispatch when the oldest frame has waited this long")
-	flag.IntVar(&o.workers, "workers", 2, "decode workers (one accelerator instance each)")
-	flag.IntVar(&o.queueCap, "queue-cap", 256, "admission queue bound (frames)")
-	flag.StringVar(&o.policy, "policy", "reject", "overload policy: reject, shed-to-linear, block")
-	flag.DurationVar(&o.deadline, "batch-deadline", 0, "modeled-time budget per dispatched batch (0 = none)")
-	flag.Int64Var(&o.nodeBudget, "node-budget", 0, "tree-expansion budget per dispatched batch (0 = none)")
-	flag.BoolVar(&o.scalarEval, "scalar-eval", true, "use the scalar evaluation path (identical decodes, faster in simulation)")
-	flag.StringVar(&o.strategy, "strategy", "", "tree-search strategy: sorted-dfs, plain-dfs, best-fs, bfs, fsd, rvd-se (default: rvd-se for square QAM without -verify-gemm, else sorted-dfs)")
-	flag.StringVar(&o.norm, "norm", "", "partial-distance norm: l2 (default) or linf (requires -strategy rvd-se)")
-	flag.StringVar(&o.decodePolicy, "decode-policy", "", "fixed decode policy for every batch, e.g. radius-scale=2,max-nodes=4096; without strategy= it runs the served engine (empty = backend default)")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the adaptive complexity controller (per-class policy from SNR, node cost, and queue depth)")
-	flag.Float64Var(&o.adaptNodeCeiling, "adapt-node-ceiling", 0, "node-cost EWMA that reads as pressure 1.0 to the controller (0 = default 1048576)")
-	flag.BoolVar(&o.pprof, "pprof", false, "expose Go profiling under /debug/pprof/")
-	flag.BoolVar(&o.noResilience, "no-resilience", false, "disable worker supervision, breakers, and retries (seed behaviour)")
-	flag.IntVar(&o.failThreshold, "breaker-threshold", 0, "consecutive failures tripping a worker's circuit breaker (0 = default 5)")
-	flag.DurationVar(&o.cooldownBase, "breaker-cooldown", 0, "breaker open-dwell jitter base (0 = default 100ms)")
-	flag.DurationVar(&o.cooldownCap, "breaker-cooldown-cap", 0, "breaker open-dwell cap (0 = default 5s)")
-	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "backend restarts per 30s window before quarantine (0 = default 3)")
-	flag.IntVar(&o.retryMax, "retry-max", 0, "extra decode attempts per batch for transient faults (0 = default 2)")
-	flag.Float64Var(&o.retryBudget, "retry-budget", 0, "retry tokens earned per successful batch (0 = default 0.2, negative disables)")
-	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "abandon a primary decode running this long and answer from the fallback (0 = off)")
-	flag.Float64Var(&o.hedgeBudget, "hedge-budget", 0, "hedge tokens earned per successful batch (0 = default 0.1)")
-	flag.DurationVar(&o.wedgeTimeout, "wedge-timeout", 0, "declare a primary decode wedged after this long (0 = off)")
-	flag.BoolVar(&o.verifyGEMM, "verify-gemm", false, "ABFT-verify every GEMM product against Huang-Abraham checksums (implies the GEMM evaluation path)")
-	flag.BoolVar(&o.noAudit, "no-audit", false, "disable the serving layer's re-encode result audit (on by default)")
-	flag.IntVar(&o.sdcQuarantine, "sdc-quarantine", 0, "detected silent corruptions per worker per window before quarantine (0 = default 8)")
-	flag.StringVar(&o.chaos, "chaos", "", "chaos plan for worker backends, e.g. panic=0.05,error=0.1,clear-after=500 (empty = off)")
-	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "seed override for the -chaos and -sdc-chaos roll streams")
-	flag.StringVar(&o.sdcChaos, "sdc-chaos", "", "silent-corruption plan for worker backends, e.g. qr=0.05,gemm=0.1,metric=0.05,clear-after=400 (empty = off)")
+	var o options
+	addr := registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	sched, handler, sdcPlan, err := buildServer(o)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -15,7 +17,7 @@ func defaultOptions() options {
 	return options{
 		tx: 4, rx: 4, mod: "qpsk", variant: "optimized",
 		maxBatch: 8, maxWait: time.Millisecond, workers: 1, queueCap: 32,
-		policy: "reject", scalarEval: true,
+		policy: "reject",
 	}
 }
 
@@ -52,12 +54,12 @@ func TestBuildServer(t *testing.T) {
 		t.Fatalf("config %+v", info)
 	}
 	// With no -strategy, square QAM is served by the real-valued SE engine
-	// and everything else by the complex sorted DFS.
+	// and everything else by the complex sorted DFS, both under ℓ².
 	for mod, want := range map[string]string{"qpsk": "SD-RVD-SE", "16qam": "SD-RVD-SE", "bpsk": "SD-SortedDFS"} {
 		o := defaultOptions()
 		o.mod = mod
-		if got := serverConfig(t, o).Strategy; got != want {
-			t.Errorf("%s: default strategy %q, want %q", mod, got, want)
+		if info := serverConfig(t, o); info.Strategy != want || info.Norm != "l2" {
+			t.Errorf("%s: default engine %q/%q, want %q/l2", mod, info.Strategy, info.Norm, want)
 		}
 	}
 	o := defaultOptions()
@@ -68,18 +70,48 @@ func TestBuildServer(t *testing.T) {
 }
 
 // TestVerifyGEMMKeepsGEMMEngine: -verify-gemm without -strategy keeps the
-// complex sorted DFS, whose GEMM products it verifies, and -verify-gemm
-// with -strategy rvd-se is refused rather than silently verifying nothing.
+// complex sorted DFS, whose GEMM products it verifies; -verify-gemm with
+// -strategy rvd-se is refused rather than silently verifying nothing, and
+// so is a runtime pin that would move the server onto rvd-se.
 func TestVerifyGEMMKeepsGEMMEngine(t *testing.T) {
 	o := defaultOptions()
 	o.verifyGEMM = true
 	if got := serverConfig(t, o).Strategy; got != "SD-SortedDFS" {
 		t.Errorf("-verify-gemm default strategy %q, want SD-SortedDFS", got)
 	}
+	sched, _, _, err := buildServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	if err := sched.SetPolicy("strategy=rvd-se"); err == nil {
+		t.Error("-verify-gemm server accepted a strategy=rvd-se pin")
+	}
 	o.strategy = "rvd-se"
 	if sched, _, _, err := buildServer(o); err == nil {
 		sched.Close()
 		t.Fatal("-verify-gemm -strategy rvd-se accepted")
+	}
+}
+
+// TestFlags: only the two served engines are -strategy values, and the
+// retired -norm and -scalar-eval flags are unknown.
+func TestFlags(t *testing.T) {
+	parse := func(args ...string) (options, error) {
+		var o options
+		fs := flag.NewFlagSet("sdserver", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &o)
+		return o, fs.Parse(args)
+	}
+	for _, args := range [][]string{{"-norm", "linf"}, {"-norm", "l2"}, {"-scalar-eval=false"}, {"-scalar-eval"}} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%q parsed", args)
+		}
+	}
+	o, err := parse("-strategy", "rvd-se", "-mod", "16qam")
+	if err != nil || o.strategy != "rvd-se" {
+		t.Fatalf("-strategy rvd-se: %+v (err %v)", o, err)
 	}
 }
 
@@ -118,6 +150,13 @@ func TestBuildServerRejectsBadOptions(t *testing.T) {
 		func(o *options) { o.deadline = -time.Second },
 		func(o *options) { o.sdcChaos = "qr=2" },
 		func(o *options) { o.sdcChaos = "voltage=0.1" },
+		func(o *options) { o.strategy = "bfs" },
+		func(o *options) { o.strategy = "plain-dfs" },
+		func(o *options) { o.strategy = "best-fs" },
+		func(o *options) { o.strategy = "fsd" },
+		func(o *options) { o.strategy = "warp" },
+		func(o *options) { o.decodePolicy = "norm=linf" },
+		func(o *options) { o.decodePolicy = "strategy=fsd" },
 	}
 	for i, mutate := range cases {
 		o := defaultOptions()

@@ -158,9 +158,9 @@ func MustNewController(cfg Config) *Controller {
 // keeps a rung only while it is cheaper than the one above it:
 //   - rvd-se already starts from the noise-scaled sphere 2·N·σ², so its
 //     ladder is exact → budget → linear;
-//   - every other engine gets an exact-radius rung (radius-scale=2)
-//     between exact-full and budget: the depth-first engines start at
-//     +Inf, and that rung is what bounds their heavy tail.
+//   - sorted-dfs, the other served engine, gets an exact-radius rung
+//     (radius-scale=2) between exact-full and budget: it starts at +Inf,
+//     and that rung is what bounds its heavy tail.
 //
 // The ℓ∞ and fixed-complexity rungs are gone: on the measured workload both
 // cost more than the rvd-se budget rung.

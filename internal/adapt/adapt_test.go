@@ -32,7 +32,7 @@ func TestNewControllerValidation(t *testing.T) {
 		t.Error("duplicate level name accepted")
 	}
 	if _, err := NewController(Config{Levels: []Level{
-		{Name: "bad", Policy: core.DecodePolicy{Norm: sphere.NormLInf}, MaxPressure: 1},
+		{Name: "bad", Policy: core.DecodePolicy{Strategy: sphere.FSD}, MaxPressure: 1},
 	}}); err == nil {
 		t.Error("invalid level policy accepted")
 	}
@@ -67,10 +67,10 @@ func TestDefaultLevelsLadderShape(t *testing.T) {
 			if l.Policy.Linear {
 				continue
 			}
-			// Every searching rung runs the serving engine, under ℓ²: the
-			// ladder trades search effort, never the engine.
-			if l.Policy.Strategy != tc.engine || l.Policy.Norm != sphere.NormL2 {
-				t.Fatalf("%v ladder: rung %q runs %v/%v", tc.engine, l.Name, l.Policy.Strategy, l.Policy.Norm)
+			// Every searching rung runs the serving engine: the ladder
+			// trades search effort, never the engine.
+			if l.Policy.Strategy != tc.engine {
+				t.Fatalf("%v ladder: rung %q runs %v", tc.engine, l.Name, l.Policy.Strategy)
 			}
 		}
 		if b := levels[len(levels)-2]; b.Policy.MaxNodes != 1<<16 {

@@ -11,12 +11,12 @@ import (
 )
 
 // TestPolicyFanout drives the proxy's GET/PUT /v1/policy surface against two
-// real sdserver-stack shards: GET aggregates each shard's own policy state,
-// PUT broadcasts a pin to every shard, a spelling every shard refuses answers
-// 400 without moving any shard, and a dead shard turns a broadcast into 502
-// with per-shard outcomes.
+// real sdserver-stack shards, one per served engine: GET aggregates each
+// shard's own policy state, PUT broadcasts a pin to every shard, a spelling
+// every shard refuses answers 400 without moving any shard, and a dead shard
+// turns a broadcast into 502 with per-shard outcomes.
 func TestPolicyFanout(t *testing.T) {
-	shards := []*httptest.Server{newRealShard(t), newRealShard(t)}
+	shards := []*httptest.Server{newRealShardOn(t, sphere.RealSE), newRealShard(t)}
 	urls := []string{shards[0].URL, shards[1].URL}
 	p, err := New(Config{Shards: urls, Fallback: testFallback})
 	if err != nil {
@@ -83,8 +83,8 @@ func TestPolicyFanout(t *testing.T) {
 		}
 	}
 
-	// ℓ∞ is only valid on the real-valued engine: both sorted-dfs shards
-	// refuse it, so the proxy answers 400 and no shard moves.
+	// The norm is no policy knob on either engine: both shards refuse
+	// norm=linf, so the proxy answers 400 and no shard moves.
 	resp, err = put("norm=linf")
 	if err != nil {
 		t.Fatalf("PUT bad policy: %v", err)
@@ -125,13 +125,14 @@ func TestPolicyFanout(t *testing.T) {
 }
 
 // TestPolicyPutVettedByShards: the proxy holds no policy parser of its own.
-// A spelling is relative to the engine each shard serves, so norm=linf moves
-// an rvd-se shard and is refused by a sorted-dfs one: the proxy answers 200
-// on an all-rvd-se ring and 502 with per-shard outcomes on a mixed one.
+// A spelling is relative to the engine each shard serves, so verify moves a
+// sorted-dfs shard and is refused by an rvd-se one, which computes no GEMM
+// product to verify: the proxy answers 200 on an all-sorted-dfs ring and
+// 502 with per-shard outcomes on a mixed one.
 func TestPolicyPutVettedByShards(t *testing.T) {
 	put := func(front string) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(serve.PolicyUpdate{Policy: "norm=linf"})
+		body, _ := json.Marshal(serve.PolicyUpdate{Policy: "verify"})
 		req, err := http.NewRequest(http.MethodPut, front+"/v1/policy", bytesReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -160,11 +161,11 @@ func TestPolicyPutVettedByShards(t *testing.T) {
 	}
 
 	var out PolicyFanoutResponse
-	mustDecode(t, put(proxy(newRealShardOn(t, sphere.RealSE), newRealShardOn(t, sphere.RealSE))), http.StatusOK, &out)
+	mustDecode(t, put(proxy(newRealShardOn(t, sphere.SortedDFS), newRealShardOn(t, sphere.SortedDFS))), http.StatusOK, &out)
 	for i, sr := range out.Shards {
 		var pi serve.PolicyInfo
-		if sr.Error != "" || json.Unmarshal(sr.Policy, &pi) != nil || pi.Policy != "norm=linf" {
-			t.Fatalf("rvd-se shard %d: %+v", i, sr)
+		if sr.Error != "" || json.Unmarshal(sr.Policy, &pi) != nil || pi.Policy != "verify" {
+			t.Fatalf("sorted-dfs shard %d: %+v", i, sr)
 		}
 	}
 
@@ -172,7 +173,7 @@ func TestPolicyPutVettedByShards(t *testing.T) {
 	var mixed PolicyFanoutResponse
 	mustDecode(t, put(proxy(rvd, dfs)), http.StatusBadGateway, &mixed)
 	for _, sr := range mixed.Shards {
-		if moved := sr.Error == ""; moved != (sr.URL == rvd.URL) {
+		if moved := sr.Error == ""; moved != (sr.URL == dfs.URL) {
 			t.Fatalf("mixed ring: shard %s moved=%v: %+v", sr.URL, moved, sr)
 		}
 	}

@@ -42,12 +42,14 @@ type Options struct {
 	// traversal and identical decoded vectors but simulates faster in Go —
 	// the experiment harness uses it for large Monte-Carlo sweeps.
 	ScalarEval bool
-	// Strategy selects the tree traversal; the zero value is the paper's
-	// SortedDFS. sphere.RealSE runs the real-valued Schnorr–Euchner engine
-	// (square QAM only; GEMM does not apply and is ignored for it).
+	// Strategy selects the served engine: the zero value is the paper's
+	// SortedDFS, and sphere.RealSE runs the real-valued Schnorr–Euchner
+	// engine (square QAM only; GEMM does not apply and is ignored for it).
+	// New rejects every other strategy, as DecodePolicy.Validate does.
 	Strategy sphere.Strategy
-	// Norm selects the partial-distance metric (ℓ² or ℓ∞); ℓ∞ requires
-	// Strategy == sphere.RealSE.
+	// Norm must be sphere.NormL2, the only served norm; New rejects any
+	// other value. It remains declared only because the perfbench module,
+	// which changes only together with the benchmark, still sets it.
 	Norm sphere.Norm
 	// Pipelines replicates the decode pipeline (Section III-C4 headroom).
 	// Zero means 1.
@@ -79,15 +81,10 @@ type Options struct {
 	// benchmark baseline for the shared-preprocessing speedup and as an
 	// escape hatch for callers that mutate channel matrices in place.
 	DisableQRReuse bool
-	// Policy, when non-nil, configures the accelerator's base decoder from a
-	// DecodePolicy instead of the scattered Strategy/Norm/InitialRadiusSq/
-	// MaxNodes fields (which it overrides). A Linear policy is rejected —
-	// pass it per batch via WithPolicy instead; an accelerator always has a
-	// searching base decoder.
-	Policy *DecodePolicy
 	// VerifyGEMM enables the ABFT checksum verification of every batched
-	// child evaluation (see DecodePolicy.VerifyGEMM). It is sticky: policy
-	// overrides applied per batch can add verification but not remove it.
+	// child evaluation (see DecodePolicy.VerifyGEMM); it requires SortedDFS.
+	// It is sticky: policy overrides applied per batch can add verification
+	// but not remove it, so no override can move the accelerator to RealSE.
 	VerifyGEMM bool
 }
 
@@ -141,7 +138,7 @@ func (a *Accelerator) DisarmGEMMFault() bool { return a.gemmFault.CompareAndSwap
 
 // BasePolicy returns the decode policy the accelerator was built with — the
 // one DecodeBatch uses when no per-batch override is supplied. The serving
-// layer reads it to pick the matching integrity-audit mode.
+// layer reads its Strategy as the engine it serves.
 func (a *Accelerator) BasePolicy() DecodePolicy { return a.basePolicy }
 
 // CorruptQREntry flips one bit in the most recently used cached QR factor
@@ -178,35 +175,25 @@ func New(v fpga.Variant, mod constellation.Modulation, m, n int, opts Options) (
 		}
 		design.Pipelines = opts.Pipelines
 	}
+	if opts.Norm != sphere.NormL2 {
+		return nil, fmt.Errorf("core: norm %v is not served; every accelerator searches under l2", opts.Norm)
+	}
+	basePolicy := DecodePolicy{Strategy: opts.Strategy, MaxNodes: opts.MaxNodes, VerifyGEMM: opts.VerifyGEMM}
+	if err := basePolicy.Validate(); err != nil {
+		return nil, err
+	}
 	cons := constellation.New(mod)
 	a := &Accelerator{design: design, cons: cons}
-	cfg := sphere.Config{
+	sd, err := sphere.New(sphere.Config{
 		Const:           cons,
 		Strategy:        opts.Strategy,
-		Norm:            opts.Norm,
 		UseGEMM:         !opts.ScalarEval,
 		VerifyGEMM:      opts.VerifyGEMM,
 		InitialRadiusSq: opts.InitialRadiusSq,
 		MaxNodes:        opts.MaxNodes,
 		Deadline:        opts.Deadline,
 		GEMMFault:       a.gemmFaultHook(),
-	}
-	basePolicy := DecodePolicy{
-		Strategy: opts.Strategy, Norm: opts.Norm,
-		MaxNodes: opts.MaxNodes, VerifyGEMM: opts.VerifyGEMM,
-	}
-	if opts.Policy != nil {
-		p := *opts.Policy
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		if p.Linear {
-			return nil, errors.New("core: a linear DecodePolicy cannot configure an accelerator; apply it per batch with WithPolicy")
-		}
-		cfg = p.sphereConfig(cfg)
-		basePolicy = p
-	}
-	sd, err := sphere.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +373,11 @@ func (r *BatchReport) tallyQuality() {
 
 // sdFor resolves the decoder a policy selects: the base decoder when the
 // policy matches the accelerator's own, a cached derived decoder otherwise.
-// Derivation can fail on modulation constraints (rvd-se needs square QAM);
-// the failure is stable, so callers surface it as an invalid-input error.
+// The policy is validated as it would run, with the accelerator's sticky
+// VerifyGEMM ORed in, so no override moves a verifying accelerator onto an
+// engine without GEMM products. Derivation can also fail on modulation
+// constraints (rvd-se needs square QAM); both failures are stable, so
+// callers surface them as invalid-input errors.
 func (a *Accelerator) sdFor(p DecodePolicy) (*sphere.SD, error) {
 	if p == a.basePolicy {
 		return a.sd, nil
@@ -397,6 +387,11 @@ func (a *Accelerator) sdFor(p DecodePolicy) (*sphere.SD, error) {
 	a.sdMu.RUnlock()
 	if sd != nil {
 		return sd, nil
+	}
+	eff := p
+	eff.VerifyGEMM = eff.VerifyGEMM || a.basePolicy.VerifyGEMM
+	if err := eff.Validate(); err != nil {
+		return nil, err
 	}
 	sd, err := sphere.New(p.sphereConfig(a.sd.Config()))
 	if err != nil {

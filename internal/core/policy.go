@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,23 +10,23 @@ import (
 )
 
 // DecodePolicy is the single named-options type for everything a deployment
-// can trade between decode quality and decode cost: the traversal strategy,
-// the partial-distance norm, the SNR-scaled initial radius (Dabah et al.'s
-// complexity lever), a per-frame node budget, ABFT verification of the
-// batched product, and the linear-only escape hatch. One value of this type
-// travels the whole stack — core.Options.Policy configures an accelerator,
-// WithPolicy retargets a single DecodeBatch call, internal/adapt emits one
-// per request class, and sdserver's /v1/policy endpoint round-trips it as
-// the StringOn/ParsePolicyOn spelling relative to the engine it serves.
+// can trade between decode quality and decode cost: the served engine, the
+// SNR-scaled initial radius (Dabah et al.'s complexity lever), a per-frame
+// node budget, ABFT verification of the batched product, and the
+// linear-only escape hatch. One value of this type travels the whole
+// stack — an accelerator's BasePolicy, WithPolicy retargeting a single
+// DecodeBatch call, internal/adapt emitting one per request class, and
+// sdserver's /v1/policy endpoint round-tripping it as the
+// StringOn/ParsePolicyOn spelling relative to the engine it serves. Every
+// policy searches under the ℓ² norm; sphere's ℓ∞ and ablation strategies
+// stay reachable through sphere.Config, not through a policy.
 //
-// The zero value is the paper's default pipeline (SortedDFS, ℓ², unbounded
+// The zero value is the paper's default pipeline (SortedDFS, unbounded
 // radius and budget). DecodePolicy is comparable, so it can key caches of
 // policy-derived decoder instances.
 type DecodePolicy struct {
-	// Strategy selects the tree traversal; the zero value is SortedDFS.
+	// Strategy selects the engine: SortedDFS (the zero value) or RealSE.
 	Strategy sphere.Strategy
-	// Norm selects the partial-distance metric; NormLInf requires RealSE.
-	Norm sphere.Norm
 	// Linear skips the tree search entirely: every frame is answered by the
 	// linear fallback detector (best of Babai and sliced ZF). A linear
 	// policy carries no other knobs — Validate rejects combinations.
@@ -45,21 +46,16 @@ type DecodePolicy struct {
 	// child evaluation (internal/integrity): each GEMM output is checked
 	// against a Huang–Abraham row checksum and recomputed in place on a
 	// mismatch, so a transient bit flip in the product never reaches the
-	// search. Implies GEMM evaluation for complex-tree strategies; a no-op
-	// for rvd-se, which evaluates children analytically (its results are
-	// still covered by the serving layer's re-encode audit).
+	// search. Implies GEMM evaluation, so it requires SortedDFS: rvd-se
+	// evaluates children analytically and has no product to verify.
 	VerifyGEMM bool
 }
 
-// strategyNames is the one canonical spelling table for policy strategies.
-// Every name round-trips through sphere.ParseStrategy, so flag parsing,
-// /v1/policy bodies, and sdbench study labels cannot drift apart.
+// strategyNames is the one canonical spelling table for the served
+// engines. Every name round-trips through sphere.ParseStrategy, so flag
+// parsing, /v1/policy bodies, and sdbench study labels cannot drift apart.
 var strategyNames = map[sphere.Strategy]string{
 	sphere.SortedDFS: "sorted-dfs",
-	sphere.PlainDFS:  "plain-dfs",
-	sphere.BestFS:    "best-fs",
-	sphere.BFS:       "bfs",
-	sphere.FSD:       "fsd",
 	sphere.RealSE:    "rvd-se",
 }
 
@@ -74,13 +70,10 @@ func (p DecodePolicy) Validate() error {
 		return nil
 	}
 	if _, ok := strategyNames[p.Strategy]; !ok {
-		return fmt.Errorf("core: unknown strategy %d in policy", int(p.Strategy))
+		return fmt.Errorf("core: strategy %v is not a served engine (want sorted-dfs or rvd-se)", p.Strategy)
 	}
-	if p.Norm != sphere.NormL2 && p.Norm != sphere.NormLInf {
-		return fmt.Errorf("core: unknown norm %d in policy", int(p.Norm))
-	}
-	if p.Norm == sphere.NormLInf && p.Strategy != sphere.RealSE {
-		return fmt.Errorf("core: norm=linf requires strategy=rvd-se, got %s", strategyNames[p.Strategy])
+	if p.VerifyGEMM && p.Strategy == sphere.RealSE {
+		return errors.New("core: verify checks GEMM products, which rvd-se does not compute")
 	}
 	if p.RadiusScale < 0 || p.RadiusScale != p.RadiusScale {
 		return fmt.Errorf("core: invalid radius-scale %v", p.RadiusScale)
@@ -93,7 +86,7 @@ func (p DecodePolicy) Validate() error {
 
 // String renders the canonical spelling relative to the library default
 // engine, SortedDFS: "default", "linear", or a comma-separated key=value
-// list ("strategy=rvd-se,norm=linf", "radius-scale=2,max-nodes=4096").
+// list ("strategy=rvd-se", "radius-scale=2,max-nodes=4096").
 // ParsePolicy(p.String()) == p for every valid policy.
 func (p DecodePolicy) String() string { return p.StringOn(sphere.SortedDFS) }
 
@@ -107,9 +100,6 @@ func (p DecodePolicy) StringOn(base sphere.Strategy) string {
 	var parts []string
 	if p.Strategy != base {
 		parts = append(parts, "strategy="+strategyNames[p.Strategy])
-	}
-	if p.Norm != sphere.NormL2 {
-		parts = append(parts, "norm="+p.Norm.String())
 	}
 	if p.RadiusScale > 0 {
 		parts = append(parts, "radius-scale="+strconv.FormatFloat(p.RadiusScale, 'g', -1, 64))
@@ -127,12 +117,12 @@ func (p DecodePolicy) StringOn(base sphere.Strategy) string {
 }
 
 // ParsePolicy parses the String spelling: "default" (or ""), "linear", or
-// comma-separated items where each item is key=value (strategy, norm,
+// comma-separated items where each item is key=value (strategy,
 // radius-scale, max-nodes, verify), the bare flag "verify", or a bare
-// strategy/norm name ("rvd-se", "linf"). Strategy and norm values go through
-// sphere.ParseStrategy / sphere.ParseNorm, so every spelling those accept is
-// accepted here — the one table all binaries share. A spelling without a
-// strategy selects SortedDFS.
+// engine name ("rvd-se"). Strategy values go through sphere.ParseStrategy,
+// so every spelling it accepts for the two served engines is accepted
+// here — the one table all binaries share; any other strategy fails
+// Validate. A spelling without a strategy selects SortedDFS.
 func ParsePolicy(s string) (DecodePolicy, error) { return ParsePolicyOn(sphere.SortedDFS, s) }
 
 // ParsePolicyOn is ParsePolicy for a deployment whose engine is base: a
@@ -167,10 +157,6 @@ func ParsePolicyOn(base sphere.Strategy, s string) (DecodePolicy, error) {
 				p.Strategy = st
 				continue
 			}
-			if n, err := sphere.ParseNorm(key); err == nil {
-				p.Norm = n
-				continue
-			}
 			return p, fmt.Errorf("core: policy %q: unknown item %q", s, item)
 		}
 		switch key {
@@ -180,12 +166,6 @@ func ParsePolicyOn(base sphere.Strategy, s string) (DecodePolicy, error) {
 				return p, fmt.Errorf("core: policy %q: %w", s, err)
 			}
 			p.Strategy = st
-		case "norm":
-			n, err := sphere.ParseNorm(val)
-			if err != nil {
-				return p, fmt.Errorf("core: policy %q: %w", s, err)
-			}
-			p.Norm = n
 		case "radius-scale":
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {
@@ -217,11 +197,12 @@ func ParsePolicyOn(base sphere.Strategy, s string) (DecodePolicy, error) {
 // sphereConfig derives the sphere.Config a policy selects, starting from the
 // accelerator's base configuration (which carries the constellation, the
 // eval-path default, and the per-decode deadline). The policy owns every
-// radius/budget knob: base radius settings are cleared, not merged.
+// radius/budget knob: base radius settings are cleared, not merged, and the
+// search is always ℓ².
 func (p DecodePolicy) sphereConfig(base sphere.Config) sphere.Config {
 	cfg := base
 	cfg.Strategy = p.Strategy
-	cfg.Norm = p.Norm
+	cfg.Norm = sphere.NormL2
 	cfg.InitialRadiusSq = 0
 	cfg.BabaiRadius = false
 	cfg.AutoRadius = p.RadiusScale > 0

@@ -15,18 +15,12 @@ func TestPolicyStringParseRoundTrip(t *testing.T) {
 	cases := []DecodePolicy{
 		{},
 		{Linear: true},
-		{Strategy: sphere.PlainDFS},
-		{Strategy: sphere.BestFS},
-		{Strategy: sphere.BFS},
-		{Strategy: sphere.FSD},
 		{Strategy: sphere.RealSE},
-		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
 		{RadiusScale: 2},
 		{RadiusScale: 1.5, MaxNodes: 4096},
 		{VerifyGEMM: true},
-		{Strategy: sphere.RealSE, VerifyGEMM: true},
-		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20},
-		{Strategy: sphere.FSD, RadiusScale: 0.5, MaxNodes: 1 << 20, VerifyGEMM: true},
+		{Strategy: sphere.RealSE, RadiusScale: 0.5, MaxNodes: 1 << 20},
+		{RadiusScale: 0.5, MaxNodes: 1 << 20, VerifyGEMM: true},
 	}
 	for _, p := range cases {
 		s := p.String()
@@ -50,12 +44,11 @@ func TestPolicySpellingRelativeToEngine(t *testing.T) {
 		{},
 		{Linear: true},
 		{Strategy: sphere.RealSE},
-		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
 		{Strategy: sphere.RealSE, RadiusScale: 1.5, MaxNodes: 4096},
 		{RadiusScale: 2},
-		{Strategy: sphere.FSD, VerifyGEMM: true},
+		{VerifyGEMM: true},
 	}
-	for _, base := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE, sphere.PlainDFS} {
+	for _, base := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE} {
 		for _, p := range policies {
 			s := p.StringOn(base)
 			back, err := ParsePolicyOn(base, s)
@@ -82,13 +75,20 @@ func TestPolicySpellingRelativeToEngine(t *testing.T) {
 	if got := (DecodePolicy{}).StringOn(sphere.RealSE); got != "strategy=sorted-dfs" {
 		t.Errorf("sorted-dfs on rvd-se spelled %q", got)
 	}
-	// norm=linf names no strategy, so it is valid only where the engine is
-	// rvd-se.
-	if _, err := ParsePolicyOn(sphere.RealSE, "norm=linf"); err != nil {
-		t.Errorf("norm=linf on rvd-se: %v", err)
+	// No norm is spelled on any engine, and verify is refused where the
+	// spelling resolves to rvd-se.
+	for _, base := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE} {
+		for _, in := range []string{"norm=linf", "linf", "norm=l2", "l2"} {
+			if _, err := ParsePolicyOn(base, in); err == nil {
+				t.Errorf("base %v: ParsePolicyOn(%q) accepted", base, in)
+			}
+		}
 	}
-	if _, err := ParsePolicyOn(sphere.SortedDFS, "norm=linf"); err == nil {
-		t.Error("norm=linf on sorted-dfs accepted")
+	if _, err := ParsePolicyOn(sphere.RealSE, "verify"); err == nil {
+		t.Error("verify on rvd-se accepted")
+	}
+	if got, err := ParsePolicyOn(sphere.SortedDFS, "verify"); err != nil || got != (DecodePolicy{VerifyGEMM: true}) {
+		t.Errorf("verify on sorted-dfs = %+v (err %v)", got, err)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestPolicyStringCanonical(t *testing.T) {
 	}{
 		{DecodePolicy{}, "default"},
 		{DecodePolicy{Linear: true}, "linear"},
-		{DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf}, "strategy=rvd-se,norm=linf"},
+		{DecodePolicy{Strategy: sphere.RealSE, MaxNodes: 100}, "strategy=rvd-se,max-nodes=100"},
 		{DecodePolicy{RadiusScale: 2, MaxNodes: 100}, "radius-scale=2,max-nodes=100"},
 		{DecodePolicy{MaxNodes: 100, VerifyGEMM: true}, "max-nodes=100,verify"},
 	}
@@ -112,7 +112,7 @@ func TestPolicyStringCanonical(t *testing.T) {
 
 func TestParsePolicySpellings(t *testing.T) {
 	// The one spelling table: bare names, key=value, aliases from
-	// sphere.ParseStrategy/ParseNorm, whitespace, case.
+	// sphere.ParseStrategy, whitespace, case.
 	cases := []struct {
 		in   string
 		want DecodePolicy
@@ -122,8 +122,8 @@ func TestParsePolicySpellings(t *testing.T) {
 		{"  Default ", DecodePolicy{}},
 		{"LINEAR", DecodePolicy{Linear: true}},
 		{"rvd-se", DecodePolicy{Strategy: sphere.RealSE}},
-		{"rvd-se,linf", DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf}},
-		{"strategy=fsd", DecodePolicy{Strategy: sphere.FSD}},
+		{"strategy=SD-RVD-SE", DecodePolicy{Strategy: sphere.RealSE}},
+		{"strategy=sorted", DecodePolicy{}},
 		{"verify", DecodePolicy{VerifyGEMM: true}},
 		{"verify=false", DecodePolicy{}},
 		{"Verify=TRUE", DecodePolicy{VerifyGEMM: true}},
@@ -143,14 +143,20 @@ func TestParsePolicySpellings(t *testing.T) {
 
 func TestParsePolicyRejects(t *testing.T) {
 	bad := []string{
-		"strategy=warp",          // unknown strategy
-		"norm=l7",                // unknown norm
-		"linf",                   // linf without rvd-se
-		"norm=linf,strategy=fsd", // ditto, spelled out
-		"fp16",                   // the half-precision GEMM key is gone
-		"fp16=true",              // in every spelling
-		"radius-scale=2,fp16",    // including beside valid items
-		"linear,max-nodes=5",     // linear composes with nothing
+		"strategy=warp",      // unknown strategy
+		"strategy=plain-dfs", // the ablation strategies are not served
+		"best-fs",            // in every spelling
+		"strategy=bfs",
+		"fsd",
+		"norm=linf",           // the norm is not a policy knob
+		"norm=l2",             // not even the served one
+		"linf",                // nor a bare norm name
+		"rvd-se,linf",         // beside a valid engine
+		"rvd-se,verify",       // rvd-se computes no GEMM to verify
+		"fp16",                // the half-precision GEMM key is gone
+		"fp16=true",           // in every spelling
+		"radius-scale=2,fp16", // including beside valid items
+		"linear,max-nodes=5",  // linear composes with nothing
 		"radius-scale=-1",
 		"radius-scale=nan",
 		"max-nodes=-5",
@@ -178,8 +184,11 @@ func TestPolicyValidate(t *testing.T) {
 		{Linear: true, MaxNodes: 5},
 		{Linear: true, VerifyGEMM: true},
 		{Strategy: sphere.Strategy(99)},
-		{Norm: sphere.Norm(7)},
-		{Norm: sphere.NormLInf},
+		{Strategy: sphere.PlainDFS},
+		{Strategy: sphere.BestFS},
+		{Strategy: sphere.BFS},
+		{Strategy: sphere.FSD},
+		{Strategy: sphere.RealSE, VerifyGEMM: true},
 		{RadiusScale: -2},
 		{MaxNodes: -1},
 	}
@@ -190,26 +199,51 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
+// TestOptionsPolicyConfiguresAccelerator: the base policy New derives from
+// Options names the engine the base decoder runs, and decoding under it
+// explicitly resolves to that same decoder.
 func TestOptionsPolicyConfiguresAccelerator(t *testing.T) {
-	p := DecodePolicy{Strategy: sphere.FSD, RadiusScale: 2}
-	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{Policy: &p})
-	if !strings.Contains(acc.sd.Name(), "FSD") {
-		t.Fatalf("policy strategy not applied: %s", acc.sd.Name())
+	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{Strategy: sphere.RealSE, MaxNodes: 4096})
+	if want := (DecodePolicy{Strategy: sphere.RealSE, MaxNodes: 4096}); acc.BasePolicy() != want {
+		t.Fatalf("base policy %+v, want %+v", acc.BasePolicy(), want)
+	}
+	if !strings.Contains(acc.sd.Name(), "RVD-SE") {
+		t.Fatalf("base strategy not applied: %s", acc.sd.Name())
 	}
 	inputs, _ := batchFor(t, cfg4(), 14, 4, 11)
 	rep, err := acc.DecodeBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 4 {
-		t.Fatalf("%d results", len(rep.Results))
+	pol, err := acc.DecodeBatch(inputs, WithPolicy(acc.BasePolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Results {
+		if rep.Results[i].Metric != pol.Results[i].Metric {
+			t.Fatalf("frame %d: base %v, explicit base policy %v", i, rep.Results[i].Metric, pol.Results[i].Metric)
+		}
 	}
 }
 
-func TestOptionsPolicyRejectsLinear(t *testing.T) {
-	p := DecodePolicy{Linear: true}
-	if _, err := New(fpga.Optimized, constellation.QAM4, 6, 6, Options{Policy: &p}); err == nil {
-		t.Fatal("linear Options.Policy accepted")
+// TestNewValidatesBasePolicy: New refuses Options whose base policy does
+// not validate — an ablation strategy, a norm other than ℓ², or GEMM
+// verification on rvd-se.
+func TestNewValidatesBasePolicy(t *testing.T) {
+	bad := []Options{
+		{Strategy: sphere.PlainDFS},
+		{Strategy: sphere.BestFS},
+		{Strategy: sphere.BFS},
+		{Strategy: sphere.FSD},
+		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
+		{Norm: sphere.NormLInf},
+		{Strategy: sphere.RealSE, VerifyGEMM: true},
+		{MaxNodes: -1},
+	}
+	for _, o := range bad {
+		if _, err := New(fpga.Optimized, constellation.QAM4, 6, 6, o); err == nil {
+			t.Errorf("New(%+v) accepted", o)
+		}
 	}
 }
 
@@ -221,22 +255,22 @@ func TestWithPolicyRetargetsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{Strategy: sphere.RealSE, Norm: sphere.NormLInf}))
+	p := DecodePolicy{Strategy: sphere.RealSE, RadiusScale: 2}
+	pol, err := acc.DecodeBatch(inputs, WithPolicy(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both paths are exact-capable at 14 dB; symbol decisions must agree with
-	// the exhaustive base decode on (nearly) every frame.
-	diff := 0
+	if sd := acc.sdCache[p]; sd == nil || !strings.Contains(sd.Name(), "RVD-SE") {
+		t.Fatalf("policy batch did not run the rvd-se engine (cached %v)", sd)
+	}
+	// Both engines are exact ℓ² searches: the retargeted batch must return
+	// the base decode's ML decisions on every frame.
 	for i := range base.Results {
 		for j := range sent[i] {
 			if base.Results[i].SymbolIdx[j] != pol.Results[i].SymbolIdx[j] {
-				diff++
+				t.Fatalf("frame %d symbol %d differs between base and rvd-se policy", i, j)
 			}
 		}
-	}
-	if diff > 2 {
-		t.Fatalf("%d symbol decisions differ between base and rvd-se/linf policy", diff)
 	}
 }
 
@@ -274,7 +308,7 @@ func TestWithFallbackKeepsOverloadReason(t *testing.T) {
 func TestWithPolicyInvalidPolicyErrors(t *testing.T) {
 	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{})
 	inputs, _ := batchFor(t, cfg4(), 14, 2, 51)
-	if _, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{Norm: sphere.NormLInf})); err == nil {
+	if _, err := acc.DecodeBatch(inputs, WithPolicy(DecodePolicy{Strategy: sphere.FSD})); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 	// Modulation-dependent rejection: RealSE needs square QAM, and BPSK has
@@ -319,7 +353,7 @@ func TestCheckPolicy(t *testing.T) {
 	ok := []DecodePolicy{
 		{},
 		{Linear: true},
-		{Strategy: sphere.RealSE, Norm: sphere.NormLInf},
+		{Strategy: sphere.RealSE, RadiusScale: 2},
 		{RadiusScale: 2, MaxNodes: 1000, VerifyGEMM: true},
 	}
 	for _, p := range ok {
@@ -328,7 +362,8 @@ func TestCheckPolicy(t *testing.T) {
 		}
 	}
 	bad := []DecodePolicy{
-		{Norm: sphere.NormLInf},
+		{Strategy: sphere.FSD},
+		{Strategy: sphere.RealSE, VerifyGEMM: true},
 		{RadiusScale: -1},
 		{MaxNodes: -1},
 	}
@@ -336,6 +371,16 @@ func TestCheckPolicy(t *testing.T) {
 		if err := acc.CheckPolicy(p); err == nil {
 			t.Errorf("CheckPolicy(%+v) accepted", p)
 		}
+	}
+	// VerifyGEMM is sticky: on a verifying accelerator every policy runs
+	// verified, so rvd-se is refused even when the policy does not ask for
+	// verification itself.
+	verified := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{VerifyGEMM: true})
+	if err := verified.CheckPolicy(DecodePolicy{Strategy: sphere.RealSE}); err == nil {
+		t.Error("rvd-se accepted on a verifying accelerator")
+	}
+	if err := verified.CheckPolicy(DecodePolicy{RadiusScale: 2}); err != nil {
+		t.Errorf("sorted-dfs radius policy on a verifying accelerator: %v", err)
 	}
 }
 

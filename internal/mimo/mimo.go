@@ -293,9 +293,10 @@ func Run(cfg Config, snrDB float64, frames int, d decoder.Decoder, seed uint64) 
 
 // RunParallel distributes frames across workers goroutines. Because
 // decoders are not required to be concurrency-safe, the caller provides a
-// factory that builds one detector per worker. Each worker consumes a
-// deterministic child RNG stream, so the aggregate result is independent of
-// scheduling (it equals the union of per-worker sequential runs).
+// factory that builds one detector per worker. Frame i is drawn from its own
+// child RNG stream (the seed's i-th child), so the aggregate result is a
+// function of (cfg, snrDB, frames, seed) alone: neither the worker count nor
+// the scheduling changes it.
 func RunParallel(cfg Config, snrDB float64, frames, workers int, factory func() decoder.Decoder, seed uint64) (*RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -318,20 +319,20 @@ func RunParallel(cfg Config, snrDB float64, frames, workers int, factory func() 
 	var wg sync.WaitGroup
 	chunk := frames / workers
 	extra := frames % workers
+	lo := 0
 	for w := 0; w < workers; w++ {
 		n := chunk
 		if w < extra {
 			n++
 		}
-		childSeed := base.Child(uint64(w))
 		wg.Add(1)
-		go func(w, n int, r *rng.Rand) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
 			d := factory()
 			c := constellation.New(cfg.Mod)
 			res := &RunResult{Config: cfg, SNRdB: snrDB, Decoder: d.Name()}
-			for i := 0; i < n; i++ {
-				f, err := GenerateFrame(r, cfg, snrDB)
+			for i := lo; i < hi; i++ {
+				f, err := GenerateFrame(base.Child(uint64(i)), cfg, snrDB)
 				if err != nil {
 					outs[w] = out{nil, err}
 					return
@@ -359,7 +360,8 @@ func RunParallel(cfg Config, snrDB float64, frames, workers int, factory func() 
 				res.Counters.Add(dres.Counters)
 			}
 			outs[w] = out{res, nil}
-		}(w, n, childSeed)
+		}(w, lo, lo+n)
+		lo += n
 	}
 	wg.Wait()
 

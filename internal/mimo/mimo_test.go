@@ -3,6 +3,7 @@ package mimo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cmatrix"
@@ -208,6 +209,32 @@ func TestRunParallelMatchesAggregates(t *testing.T) {
 	}
 	if res.BitErrors != res2.BitErrors || res.Counters.NodesExpanded != res2.Counters.NodesExpanded {
 		t.Fatal("parallel run not reproducible")
+	}
+}
+
+// TestRunParallelIndependentOfWorkers: the aggregate is a function of
+// (cfg, SNR, frames, seed) alone, so every worker count returns the same
+// RunResult, counters included.
+func TestRunParallelIndependentOfWorkers(t *testing.T) {
+	cfg := qam4Cfg()
+	factory := func() decoder.Decoder {
+		return sphere.MustNew(sphere.Config{Const: constellation.New(cfg.Mod)})
+	}
+	want, err := RunParallel(cfg, 4, 61, 1, factory, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.BitErrors == 0 {
+		t.Fatal("no bit errors at 4 dB: the comparison would not see a reordered draw")
+	}
+	for _, workers := range []int{2, 3, 8} {
+		got, err := RunParallel(cfg, 4, 61, workers, factory, 123)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: %+v, want the 1-worker result %+v", workers, got, want)
+		}
 	}
 }
 

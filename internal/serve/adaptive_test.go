@@ -56,9 +56,38 @@ func TestFixedDecodePolicy(t *testing.T) {
 }
 
 func TestNewRejectsUnservableFixedPolicy(t *testing.T) {
-	p := core.DecodePolicy{Norm: sphere.NormLInf} // linf without rvd-se
-	if _, err := New(Config{DecodePolicy: &p}, newFactory(t)); err == nil {
-		t.Fatal("unservable fixed policy accepted")
+	for _, p := range []core.DecodePolicy{
+		{Strategy: sphere.FSD},                        // an ablation, not a served engine
+		{Strategy: sphere.RealSE, VerifyGEMM: true},   // no GEMM product to verify
+		{Strategy: sphere.SortedDFS, RadiusScale: -1}, // malformed knob
+	} {
+		if _, err := New(Config{DecodePolicy: &p}, newFactory(t)); err == nil {
+			t.Fatalf("unservable fixed policy %+v accepted", p)
+		}
+	}
+}
+
+// TestSetPolicyKeepsGEMMVerification: a backend built with VerifyGEMM keeps
+// it under every runtime policy, so a pin that would move it onto rvd-se —
+// which computes no GEMM product to verify — is refused and changes nothing.
+func TestSetPolicyKeepsGEMMVerification(t *testing.T) {
+	s, err := New(Config{}, func() (Backend, error) {
+		return core.New(fpga.Optimized, testMIMO.Mod, testMIMO.Tx, testMIMO.Rx, core.Options{VerifyGEMM: true})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for _, spelling := range []string{"strategy=rvd-se", "rvd-se,radius-scale=2"} {
+		if err := s.SetPolicy(spelling); err == nil {
+			t.Fatalf("SetPolicy(%q) accepted on a verify-gemm backend", spelling)
+		}
+	}
+	if got := s.PolicyMode(); got != PolicyModeDefault {
+		t.Fatalf("refused pins left mode %q", got)
+	}
+	if err := s.SetPolicy("radius-scale=2"); err != nil {
+		t.Fatalf("sorted-dfs pin on a verify-gemm backend: %v", err)
 	}
 }
 
@@ -132,8 +161,12 @@ func TestSetPolicyRejectsBadSpecs(t *testing.T) {
 	if err := s.SetPolicy("strategy=warp"); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	if err := s.SetPolicy("norm=linf"); err == nil {
-		t.Fatal("invalid combination accepted")
+	// The norm is no policy knob, and the ablation strategies are not
+	// served engines.
+	for _, spec := range []string{"norm=linf", "linf", "strategy=bfs", "fsd"} {
+		if err := s.SetPolicy(spec); err == nil {
+			t.Fatalf("SetPolicy(%q) accepted", spec)
+		}
 	}
 }
 
@@ -293,11 +326,15 @@ func TestPolicySpellingFollowsServedEngine(t *testing.T) {
 				t.Fatalf("echo %q did not re-pin sorted-dfs (err %v)", want, err)
 			}
 
-			// norm=linf names no strategy, so it is servable exactly where
-			// the engine is rvd-se.
-			err = s.SetPolicy("norm=linf")
-			if (err == nil) != (engine == sphere.RealSE) {
-				t.Fatalf("norm=linf on %v: err %v", engine, err)
+			// norm=linf is refused on every engine. verify names no
+			// strategy, so it is servable exactly where the engine computes
+			// GEMM products: sorted-dfs.
+			if err := s.SetPolicy("norm=linf"); err == nil {
+				t.Fatalf("norm=linf accepted on %v", engine)
+			}
+			err = s.SetPolicy("verify")
+			if (err == nil) != (engine == sphere.SortedDFS) {
+				t.Fatalf("verify on %v: err %v", engine, err)
 			}
 		})
 	}

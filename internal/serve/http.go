@@ -92,9 +92,10 @@ type ConfigInfo struct {
 	Policy     string `json:"policy"`
 	BudgetNS   int64  `json:"budget_deadline_ns"`
 	NodeBudget int64  `json:"node_budget"`
-	// Strategy/Norm name the decode engine the backends were built with
-	// (e.g. "SD-RVD-SE" / "linf"); empty when the server predates the
-	// strategy plumbing or runs the default engine unannotated.
+	// Strategy names the engine of the backend's BasePolicy ("SD-RVD-SE"
+	// or "SD-SortedDFS", the latter also for a backend exposing none).
+	// Norm is always "l2", the only served norm; it stays on the wire for
+	// clients that check it.
 	Strategy string `json:"strategy,omitempty"`
 	Norm     string `json:"norm,omitempty"`
 	// DecodePolicy/PolicyMode echo the live decode-policy state (see
@@ -122,34 +123,18 @@ type errorBody struct {
 
 // handler serves the scheduler over HTTP.
 type handler struct {
-	s        *Scheduler
-	tx       int
-	rx       int
-	mod      string
-	strategy string
-	norm     string
-	mux      *http.ServeMux
-}
-
-// HandlerOption customises the HTTP front end without widening the
-// NewHandler signature for every caller.
-type HandlerOption func(*handler)
-
-// WithDecodeInfo annotates /v1/config with the tree-search strategy and
-// partial-distance norm the backends were built with, so load generators
-// can verify they are measuring the engine they think they are.
-func WithDecodeInfo(strategy, norm string) HandlerOption {
-	return func(h *handler) { h.strategy, h.norm = strategy, norm }
+	s   *Scheduler
+	tx  int
+	rx  int
+	mod string
+	mux *http.ServeMux
 }
 
 // NewHandler wraps a scheduler in the HTTP/JSON front end. tx, rx, mod
 // describe the MIMO configuration the backends were built for and are
-// echoed by /v1/config.
-func NewHandler(s *Scheduler, tx, rx int, mod string, opts ...HandlerOption) http.Handler {
+// echoed by /v1/config, with the engine the scheduler's backend serves.
+func NewHandler(s *Scheduler, tx, rx int, mod string) http.Handler {
 	h := &handler{s: s, tx: tx, rx: rx, mod: mod, mux: http.NewServeMux()}
-	for _, opt := range opts {
-		opt(h)
-	}
 	h.mux.HandleFunc("POST /v1/decode", h.decode)
 	h.mux.HandleFunc("GET /v1/config", h.config)
 	h.mux.HandleFunc("GET /v1/policy", h.policyGet)
@@ -363,8 +348,8 @@ func (h *handler) config(w http.ResponseWriter, _ *http.Request) {
 		Policy:       cfg.Policy.String(),
 		BudgetNS:     int64(cfg.Budget.Deadline),
 		NodeBudget:   cfg.Budget.NodeBudget,
-		Strategy:     h.strategy,
-		Norm:         h.norm,
+		Strategy:     h.s.basePol.Strategy.String(),
+		Norm:         "l2",
 		DecodePolicy: h.s.PolicyInfo().Policy,
 		PolicyMode:   h.s.PolicyMode(),
 	})

@@ -13,7 +13,6 @@ import (
 	"repro/internal/decoder"
 	"repro/internal/integrity"
 	"repro/internal/resilience"
-	"repro/internal/sphere"
 )
 
 // ResilienceConfig tunes the scheduler's self-healing layer: worker
@@ -347,39 +346,23 @@ type attemptResult struct {
 	err error
 }
 
-// auditMode selects the re-encode integrity check applied to each result of
-// a batch, derived from the batch's effective decode policy (auditModeFor):
-// the reported metric's meaning depends on the norm, so the audit must match
-// or honest decodes would be rejected.
-type auditMode int
-
-const (
-	// auditOff skips the re-encode audit (resilience disabled, or the
-	// DisableAudit escape hatch); only the shape/finiteness garbage checks run.
-	auditOff auditMode = iota
-	// auditExactL2: ℓ² decodes, where the metric is defined as
-	// ‖y − H·ŝ‖² of the returned point — equality within rounding tolerance.
-	auditExactL2
-	// auditBound: ℓ∞ decodes report the rotated-domain ‖·‖∞² partial
-	// distance, which is bounded by the ℓ² residual but not equal to it.
-	auditBound
-)
-
 // checkReport guards against garbage and corrupted outputs: a "successful"
 // decode must cover every input with a finite, non-empty decision
-// (errGarbage otherwise), and — unless the audit is off — each result's
-// metric must be consistent with ‖y − H·ŝ‖² recomputed from the original
-// inputs (errIntegrityAudit otherwise). Both sentinels are transient, so the
-// caller retries within budget and then answers from the fallback; a
-// corrupted result is never served as exact. The ŝ finiteness check matters:
+// (errGarbage otherwise), and — when audit is set — each result's metric
+// must equal ‖y − H·ŝ‖² recomputed from the original inputs within rounding
+// (errIntegrityAudit otherwise). Every served decode is an ℓ² search, so
+// the re-encode audit is exact-ℓ² or, under the DisableAudit escape hatch,
+// off. Both sentinels are transient, so the caller retries within budget
+// and then answers from the fallback; a corrupted result is never served
+// as exact. The ŝ finiteness check matters:
 // a NaN symbol vector yields a NaN residual, and every comparison against
 // NaN is false, so without it corruption would sail through the audit.
-func checkReport(rep *core.BatchReport, inputs []core.BatchInput, mode auditMode) error {
+func checkReport(rep *core.BatchReport, inputs []core.BatchInput, audit bool) error {
 	if rep == nil || len(rep.Results) != len(inputs) {
 		return errGarbage
 	}
 	var scratch cmatrix.Vector
-	if mode != auditOff && len(inputs) > 0 {
+	if audit && len(inputs) > 0 {
 		scratch = make(cmatrix.Vector, inputs[0].H.Rows)
 	}
 	for i, res := range rep.Results {
@@ -387,7 +370,7 @@ func checkReport(rep *core.BatchReport, inputs []core.BatchInput, mode auditMode
 			math.IsNaN(res.Metric) || math.IsInf(res.Metric, 0) {
 			return errGarbage
 		}
-		if mode == auditOff {
+		if !audit {
 			continue
 		}
 		in := inputs[i]
@@ -395,39 +378,17 @@ func checkReport(rep *core.BatchReport, inputs []core.BatchInput, mode auditMode
 			return errGarbage
 		}
 		audit := integrity.ReEncode(in.H, in.Y, res.Symbols, scratch)
-		var aerr error
-		if mode == auditBound {
-			aerr = audit.CheckBound(res.Metric)
-		} else {
-			aerr = audit.CheckExactL2(res.Metric)
-		}
-		if aerr != nil {
+		if aerr := audit.CheckExactL2(res.Metric); aerr != nil {
 			return fmt.Errorf("%w (frame %d): %w", errIntegrityAudit, i, aerr)
 		}
 	}
 	return nil
 }
 
-// auditModeFor maps the batch's effective decode policy (nil = the backend's
-// base policy) to the matching re-encode audit mode.
-func (s *Scheduler) auditModeFor(pol *core.DecodePolicy) auditMode {
-	if s.rcfg.Disable || s.rcfg.DisableAudit {
-		return auditOff
-	}
-	p := s.basePol
-	if pol != nil {
-		p = *pol
-	}
-	if p.Norm == sphere.NormLInf {
-		return auditBound
-	}
-	return auditExactL2
-}
-
 // basePolicyer is the optional Backend facet exposing the decode policy the
 // backend defaults to when no per-batch override is supplied
-// (core.Accelerator implements it); auditModeFor needs it to audit
-// default-policy batches correctly.
+// (core.Accelerator implements it); its Strategy is the engine the server
+// serves.
 type basePolicyer interface {
 	BasePolicy() core.DecodePolicy
 }
@@ -460,7 +421,7 @@ func (s *Scheduler) noteWorkerSDC(w *workerCtl, n int) bool {
 // the disabled-path cost the benchmarks pin). With timers armed the decode
 // runs on a goroutine; on timeout the backend is abandoned (marked lost, its
 // eventual outcome drained into the breaker) and a sentinel error returned.
-func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode) (*core.BatchReport, error) {
+func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []core.BatchInput, opts []core.BatchOption) (*core.BatchReport, error) {
 	rcfg := s.rcfg
 	if rcfg.HedgeAfter <= 0 && rcfg.WedgeTimeout <= 0 {
 		var rep *core.BatchReport
@@ -470,7 +431,7 @@ func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []cor
 			return e
 		})
 		if err == nil {
-			err = checkReport(rep, inputs, mode)
+			err = checkReport(rep, inputs, !rcfg.DisableAudit)
 		}
 		return rep, err
 	}
@@ -502,7 +463,7 @@ func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []cor
 		select {
 		case r := <-ch:
 			if r.err == nil {
-				r.err = checkReport(r.rep, inputs, mode)
+				r.err = checkReport(r.rep, inputs, !rcfg.DisableAudit)
 			}
 			return r.rep, r.err
 		case <-hedgeC:
@@ -510,10 +471,10 @@ func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []cor
 			if !s.hedgeBudget.Spend() {
 				continue
 			}
-			s.abandonPrimary(w, ticket, ch, inputs, mode)
+			s.abandonPrimary(w, ticket, ch, inputs)
 			return nil, errHedged
 		case <-wedgeC:
-			s.abandonPrimary(w, ticket, ch, inputs, mode)
+			s.abandonPrimary(w, ticket, ch, inputs)
 			return nil, errWedged
 		}
 	}
@@ -524,14 +485,14 @@ func (s *Scheduler) attempt(w *workerCtl, ticket resilience.Ticket, inputs []cor
 // feeds the decode's eventual outcome into the breaker, on the ticket that
 // admitted it, so an abandoned-but-healthy backend still earns its way back
 // to closed.
-func (s *Scheduler) abandonPrimary(w *workerCtl, ticket resilience.Ticket, ch <-chan attemptResult, inputs []core.BatchInput, mode auditMode) {
+func (s *Scheduler) abandonPrimary(w *workerCtl, ticket resilience.Ticket, ch <-chan attemptResult, inputs []core.BatchInput) {
 	w.mu.Lock()
 	w.beLost = true
 	w.mu.Unlock()
 	go func() {
 		r := <-ch
 		if r.err == nil {
-			r.err = checkReport(r.rep, inputs, mode)
+			r.err = checkReport(r.rep, inputs, !s.rcfg.DisableAudit)
 		}
 		if r.err == nil {
 			w.breaker.Success(ticket)
@@ -625,7 +586,7 @@ func (s *Scheduler) fallbackBatch(inputs []core.BatchInput, reason string) (*cor
 // recovery with restart/quarantine, budgeted retries, hedged/wedged
 // abandonment — and, when everything is exhausted, the linear fallback, so
 // the batch is always answered (or typed-rejected on a permanent error).
-func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode) (*core.BatchReport, batchOutcome, error) {
+func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts []core.BatchOption) (*core.BatchReport, batchOutcome, error) {
 	var oc batchOutcome
 	if s.rcfg.Disable {
 		rep, err := w.be.DecodeBatch(inputs, opts...)
@@ -660,7 +621,7 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			oc.quarantined = true
 			return shed(DegradedByQuarantine)
 		}
-		rep, err := s.attempt(w, ticket, inputs, opts, mode)
+		rep, err := s.attempt(w, ticket, inputs, opts)
 		if err == nil {
 			w.breaker.Success(ticket)
 			s.retryBudget.Earn(1)

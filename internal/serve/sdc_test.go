@@ -61,77 +61,68 @@ func TestCheckReportAudit(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(r *core.BatchReport)
-		mode   auditMode
+		audit  bool
 		want   error // nil, errGarbage, or errIntegrityAudit
 		// report overrides the default (a fresh clone of the honest report)
 		// for the shape cases.
 		report func() *core.BatchReport
 	}{
-		{name: "honest exact-l2", mode: auditExactL2, want: nil},
-		{name: "honest bound", mode: auditBound, want: nil},
-		{name: "honest audit off", mode: auditOff, want: nil},
+		{name: "honest exact-l2", audit: true, want: nil},
+		{name: "honest audit off", audit: false, want: nil},
 		{
-			name: "zero metric passes bound mode", mode: auditBound, want: nil,
-			// An ℓ∞ partial distance may legitimately sit far below the ℓ²
-			// residual; only the residual is an upper bound.
+			name: "zero metric", audit: true, want: errIntegrityAudit,
+			// Every served decode is ℓ², so the metric must equal the
+			// residual: one that understates it is corruption too.
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = 0 },
 		},
 		{
-			name: "negative metric", mode: auditExactL2, want: errIntegrityAudit,
+			name: "negative metric", audit: true, want: errIntegrityAudit,
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = -r.Results[0].Metric - 1 },
 		},
 		{
-			name: "negative metric bound mode", mode: auditBound, want: errIntegrityAudit,
-			mutate: func(r *core.BatchReport) { r.Results[0].Metric = -1e-9 },
-		},
-		{
-			name: "sign-flipped metric", mode: auditExactL2, want: errIntegrityAudit,
+			name: "sign-flipped metric", audit: true, want: errIntegrityAudit,
 			mutate: func(r *core.BatchReport) {
 				m := &r.Results[1].Metric
 				*m = math.Float64frombits(math.Float64bits(*m) ^ (1 << 63))
 			},
 		},
 		{
-			name: "inflated finite metric", mode: auditExactL2, want: errIntegrityAudit,
+			name: "inflated finite metric", audit: true, want: errIntegrityAudit,
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = residual0*1.5 + 1 },
 		},
 		{
-			name: "absurd finite metric bound mode", mode: auditBound, want: errIntegrityAudit,
-			mutate: func(r *core.BatchReport) { r.Results[0].Metric = residual0 + 1e6 },
-		},
-		{
-			name: "corrupted metric with audit off", mode: auditOff, want: nil,
+			name: "corrupted metric with audit off", audit: false, want: nil,
 			// The escape hatch really does disable the defense.
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = residual0 + 1e6 },
 		},
 		{
-			name: "corrupted symbol vector", mode: auditExactL2, want: errIntegrityAudit,
+			name: "corrupted symbol vector", audit: true, want: errIntegrityAudit,
 			mutate: func(r *core.BatchReport) { r.Results[0].Symbols[0] *= 4 },
 		},
 		{
-			name: "NaN symbols", mode: auditExactL2, want: errGarbage,
+			name: "NaN symbols", audit: true, want: errGarbage,
 			// NaN ŝ makes the residual NaN and every tolerance comparison
 			// false — this must be caught as garbage, not pass the audit.
 			mutate: func(r *core.BatchReport) { r.Results[0].Symbols[1] = complex(math.NaN(), 0) },
 		},
 		{
-			name: "short symbol vector", mode: auditExactL2, want: errGarbage,
+			name: "short symbol vector", audit: true, want: errGarbage,
 			mutate: func(r *core.BatchReport) { r.Results[0].Symbols = r.Results[0].Symbols[:1] },
 		},
 		{
-			name: "NaN metric", mode: auditOff, want: errGarbage,
+			name: "NaN metric", audit: false, want: errGarbage,
 			mutate: func(r *core.BatchReport) { r.Results[0].Metric = math.NaN() },
 		},
 		{
-			name: "empty decision", mode: auditOff, want: errGarbage,
+			name: "empty decision", audit: false, want: errGarbage,
 			mutate: func(r *core.BatchReport) { r.Results[1].SymbolIdx = nil },
 		},
 		{
-			name: "nil report", mode: auditOff, want: errGarbage,
+			name: "nil report", audit: false, want: errGarbage,
 			report: func() *core.BatchReport { return nil },
 		},
 		{
-			name: "length mismatch", mode: auditOff, want: errGarbage,
+			name: "length mismatch", audit: false, want: errGarbage,
 			report: func() *core.BatchReport { return &core.BatchReport{Results: rep.Results[:1]} },
 		},
 	}
@@ -146,7 +137,7 @@ func TestCheckReportAudit(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(r)
 			}
-			err := checkReport(r, inputs, tc.mode)
+			err := checkReport(r, inputs, tc.audit)
 			switch {
 			case tc.want == nil && err != nil:
 				t.Fatalf("checkReport = %v, want nil", err)

@@ -163,9 +163,8 @@ type Scheduler struct {
 	shedBE    Backend
 
 	// basePol is the backend's default decode policy (zero when the backend
-	// does not expose one); auditModeFor consults it so default-policy
-	// batches get the re-encode audit matching their norm and precision, and
-	// its Strategy is the engine that policy spellings are relative to.
+	// does not expose one). Its Strategy is the engine the server serves:
+	// /v1/config reports it, and policy spellings are relative to it.
 	basePol core.DecodePolicy
 
 	// Resilience layer: one supervised control block per worker, plus the
@@ -649,7 +648,7 @@ func (s *Scheduler) runBatch(w *workerCtl, b batch) {
 		bt.AddPhase("batch-form", b.born, start)
 		opts = append(opts, core.WithTrace(bt))
 	}
-	rep, oc, err := s.decodeResilient(w, inputs, opts, s.auditModeFor(pol))
+	rep, oc, err := s.decodeResilient(w, inputs, opts)
 	svc := time.Since(start)
 	if bt != nil && err == nil && oc.fallbackReason != "" {
 		// The batch never reached the accelerator (or its attempt was

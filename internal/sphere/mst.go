@@ -107,9 +107,9 @@ func (t *MST) PathSymbols(id int32, m int, dst []int) int {
 }
 
 // DepthPopulation returns the number of records created at each depth,
-// root included, counting records a truncation has since dropped. The FPGA
-// resource model sizes the per-level MST partitions (Fig. 5's
-// level-partitioned database) from these counts.
+// root included, counting records a truncation has since dropped: the
+// per-level occupancy of Fig. 5's level-partitioned database. sdtrace
+// prints it per traced frame; the FPGA resource model does not read it.
 func (t *MST) DepthPopulation() []int64 {
 	out := make([]int64, len(t.perDepth))
 	copy(out, t.perDepth)

@@ -620,16 +620,18 @@ func (a *Accelerator) batchResultFrom(rep *core.BatchReport, name string) *Batch
 }
 
 // DecodePolicy is the unified quality/cost control surface of the decode
-// stack: strategy, norm, SNR-scaled initial radius, per-frame node budget,
-// GEMM verification, or the linear-only escape hatch, as one comparable
-// value. See core.DecodePolicy for field semantics; ParsePolicy and
+// stack: the served engine (sorted-dfs or rvd-se, both ℓ²), SNR-scaled
+// initial radius, per-frame node budget, GEMM verification, or the
+// linear-only escape hatch, as one comparable value. The ℓ∞ and ablation
+// searches are algorithms (AlgSphereLInf, AlgSphereBestFS, ...), not
+// policies. See core.DecodePolicy for field semantics; ParsePolicy and
 // DecodePolicy.String round-trip the canonical spelling relative to the
 // library default engine (SortedDFS). sdserver's flag and /v1/policy bodies
 // use the same spelling relative to the engine the server serves.
 type DecodePolicy = core.DecodePolicy
 
 // ParsePolicy parses the canonical DecodePolicy spelling ("default",
-// "linear", "strategy=rvd-se,norm=linf", "radius-scale=2,max-nodes=4096",
+// "linear", "strategy=rvd-se", "radius-scale=2,max-nodes=4096,verify",
 // ...).
 func ParsePolicy(s string) (DecodePolicy, error) { return core.ParsePolicy(s) }
 
