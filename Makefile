@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz bench bench-check
+.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire bench bench-check
 
 # check is the gate: static analysis, build, a single-iteration pass over
 # every benchmark (so the bench harness itself cannot rot), the serving
@@ -11,9 +11,10 @@ GO ?= go
 # contract, the cluster failover contract, the OFDM workload tier's
 # SLO and cache-delta gates, the real-valued SE hot-path gate
 # (speedup, comparator-free, zero-alloc, servable), the adaptive
-# complexity controller's A/B gate end to end, and the silent-data-
-# corruption defense under seeded fault injection.
-check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke
+# complexity controller's A/B gate end to end, the silent-data-
+# corruption defense under seeded fault injection, and a short fuzz of
+# the wire parser against encoding/json.
+check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire
 
 vet:
 	$(GO) vet ./...
@@ -107,6 +108,13 @@ bench:
 # liveness gate for the bench harness, cheap enough to sit inside check.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# fuzz-wire fuzzes the POST /v1/decode parser differentially against
+# encoding/json for 20 s: its hand-written number conversion must stay
+# bit-identical to encoding/json's, and its grammar must accept and reject
+# the same bodies.
+fuzz-wire:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
 
 # fuzz runs the native fuzzers for a short budget each (they also run as
 # plain regression tests under `make test` via their seed corpora).

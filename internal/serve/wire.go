@@ -11,10 +11,15 @@ import (
 )
 
 // Wire decode: a hand-written parser for the one JSON schema POST /v1/decode
-// accepts. It makes a single pass over the body bytes, parses numbers with
-// strconv.ParseFloat (so every float is bit-identical to what encoding/json
-// produces) and lays each frame's channel rows out as sub-slices of one
-// backing array. Accepted inputs and decoded values match exactly what
+// accepts. It makes a single pass over the body bytes and lays each frame's
+// channel rows out as sub-slices of one backing array. Each number is
+// scanned once (wirenum.go): its grammar is checked and its decimal
+// mantissa and exponent collected in the same pass, and an exact fast path
+// (Clinger's case, then Eisel–Lemire) converts it, falling back to
+// strconv.ParseFloat for what it cannot decide, so every float is
+// bit-identical to what encoding/json produces. A pair written without
+// whitespace, [num,num], is decoded in one step when both numbers take
+// the fast path. Accepted inputs and decoded values match exactly what
 // encoding/json's reflection decoder (json.Decoder with
 // DisallowUnknownFields) makes of the same struct, quirks included:
 //
@@ -405,6 +410,9 @@ func (p *wireParser) pair(dst *[2]float64) error {
 	default:
 		return p.mismatch("[re, im] pair")
 	}
+	if p.tightPair(dst) {
+		return nil
+	}
 	if err := p.open(); err != nil {
 		return err
 	}
@@ -432,17 +440,52 @@ func (p *wireParser) pair(dst *[2]float64) error {
 	return nil
 }
 
-// float decodes a number into *dst; null leaves *dst unchanged.
+// tightPair decodes the pair at p.pos when it is written without
+// whitespace, [num,num], and both numbers take the exact fast path, and
+// reports whether it did. Otherwise it consumes nothing and the general
+// path decodes (or rejects) the pair. The nesting limit is enforced as
+// open() enforces it: a pair past the limit is left to the general path.
+func (p *wireParser) tightPair(dst *[2]float64) bool {
+	if p.depth >= maxNestingDepth {
+		return false
+	}
+	d := p.data
+	i, re, ok := scanNumber(d, p.pos+1)
+	if !ok || i >= len(d) || d[i] != ',' {
+		return false
+	}
+	i, im, ok := scanNumber(d, i+1)
+	if !ok || i >= len(d) || d[i] != ']' {
+		return false
+	}
+	a, ok := re.float64()
+	if !ok {
+		return false
+	}
+	b, ok := im.float64()
+	if !ok {
+		return false
+	}
+	dst[0], dst[1] = a, b
+	p.pos = i + 1
+	return true
+}
+
+// float decodes a number into *dst; null leaves *dst unchanged. Numbers
+// the exact fast paths cannot decide go to strconv.ParseFloat.
 func (p *wireParser) float(dst *float64, what string) error {
 	switch c := p.peek(); {
 	case c == '-' || isDigit(c):
 		start := p.pos
-		if err := p.number(); err != nil {
+		num, err := p.readNumber()
+		if err != nil {
 			return err
 		}
-		v, err := strconv.ParseFloat(string(p.data[start:p.pos]), 64)
-		if err != nil {
-			return fmt.Errorf("number %s out of range for %s", p.data[start:p.pos], what)
+		v, ok := num.float64()
+		if !ok {
+			if v, err = strconv.ParseFloat(string(p.data[start:p.pos]), 64); err != nil {
+				return fmt.Errorf("number %s out of range for %s", p.data[start:p.pos], what)
+			}
 		}
 		*dst = v
 		return nil
@@ -633,49 +676,14 @@ func (p *wireParser) literal(lit string) error {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// number consumes a number in JSON's grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (p *wireParser) number() error {
-	d, i := p.data, p.pos
-	if i < len(d) && d[i] == '-' {
-		i++
+// readNumber consumes the number at p.pos and returns its decimal value.
+func (p *wireParser) readNumber() (decimal, error) {
+	end, num, ok := scanNumber(p.data, p.pos)
+	p.pos = end
+	if !ok {
+		return num, p.errAt()
 	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && isDigit(d[i]):
-		i = digits(d, i+1)
-	default:
-		p.pos = i
-		return p.errAt()
-	}
-	if i < len(d) && d[i] == '.' {
-		if i++; i >= len(d) || !isDigit(d[i]) {
-			p.pos = i
-			return p.errAt()
-		}
-		i = digits(d, i+1)
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if i >= len(d) || !isDigit(d[i]) {
-			p.pos = i
-			return p.errAt()
-		}
-		i = digits(d, i+1)
-	}
-	p.pos = i
-	return nil
-}
-
-// digits returns the offset of the first non-digit in d at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && isDigit(d[i]) {
-		i++
-	}
-	return i
+	return num, nil
 }
 
 // str consumes the string at p.pos and returns its raw contents. plain is
@@ -767,7 +775,8 @@ func (p *wireParser) skip() error {
 	case c == 'n':
 		return p.literal("null")
 	case c == '-' || isDigit(c):
-		return p.number()
+		_, err := p.readNumber()
+		return err
 	default:
 		return p.errAt()
 	}

@@ -216,6 +216,33 @@ var wireQuirks = []string{
 	`{"h" null}`,
 	`{"y":[[1 2]]}`,
 	`{"y":[,[1,2]]}`,
+	// Pairs through the whitespace-free path and the general one: signed
+	// zero, out-of-range and subnormal numbers, mantissas past 19 digits,
+	// whitespace, long and short pairs, upper-case exponents, and a tight
+	// pair at the nesting limit and one level past it.
+	`{"y":[[-0,0]]}`,
+	`{"y":[[1e400,0]]}`,
+	`{"y":[[1e-400,0]]}`,
+	`{"y":[[5e-324,0]]}`,
+	`{"y":[[123456789012345678901234,0]]}`,
+	`{"y":[[1.00000000000000000001,0]]}`,
+	`{"y":[[ 1 , 2 ]]}`,
+	`{"y":[[1,2,3]]}`,
+	`{"y":[[1]]}`,
+	`{"y":[[1E+2,1e-2]]}`,
+	pairAtDepth(maxNestingDepth),
+	pairAtDepth(maxNestingDepth + 1),
+}
+
+// pairAtDepth is a body whose one [1,2] pair opens at nesting depth depth
+// (≥ 3), reached by nesting frames; an h pair sits one level deeper than
+// a y pair.
+func pairAtDepth(depth int) string {
+	k, inner := (depth-3)/2, `{"y":[[1,2]]}`
+	if depth%2 == 0 {
+		k, inner = (depth-4)/2, `{"h":[[[1,2]]]}`
+	}
+	return strings.Repeat(`{"frames":[`, k) + inner + strings.Repeat(`]}`, k)
 }
 
 // deepPair nests an extra pair element depth levels deep; the body's own
