@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire bench bench-check
+.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire fuzz-preprocess bench bench-check
 
 # check is the gate: static analysis, build, a single-iteration pass over
 # every benchmark (so the bench harness itself cannot rot), the serving
@@ -12,9 +12,10 @@ GO ?= go
 # SLO and cache-delta gates, the real-valued SE hot-path gate
 # (speedup, comparator-free, zero-alloc, servable), the adaptive
 # complexity controller's A/B gate end to end, the silent-data-
-# corruption defense under seeded fault injection, and a short fuzz of
-# the wire parser against encoding/json.
-check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire
+# corruption defense under seeded fault injection, and short fuzzes of
+# the wire parser against encoding/json and of the serving QR kernel
+# against cmatrix.QR.
+check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire fuzz-preprocess
 
 vet:
 	$(GO) vet ./...
@@ -116,9 +117,16 @@ bench-check:
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
 
+# fuzz-preprocess fuzzes the serving QR kernel differentially against
+# cmatrix.QR for 10 s: the same error class on every input (NaN/Inf, N < M,
+# rank deficiency, overflowing norms), and on success the same R and ȳ.
+fuzz-preprocess:
+	$(GO) test -run='^$$' -fuzz=FuzzPreprocess -fuzztime=10s ./internal/sphere/
+
 # fuzz runs the native fuzzers for a short budget each (they also run as
 # plain regression tests under `make test` via their seed corpora).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQR -fuzztime=30s ./internal/cmatrix/
+	$(GO) test -run='^$$' -fuzz=FuzzPreprocess -fuzztime=30s ./internal/sphere/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve/

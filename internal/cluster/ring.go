@@ -2,7 +2,7 @@
 // that spreads detection load over a ring of sdserver shards and keeps the
 // service answering through shard crashes, stalls, and network partitions.
 //
-// Routing is by channel fingerprint — the same FNV-1a key the QR
+// Routing is by channel fingerprint — the same word-wise hash key the QR
 // PreprocessCache uses — so every frame observed under one channel lands on
 // the same shard and its factored channel stays resident there. This is the
 // paper's multi-PE partitioning lifted one level: where the FPGA statically

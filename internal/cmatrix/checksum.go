@@ -2,7 +2,7 @@ package cmatrix
 
 import "math"
 
-// Word-mix FNV-1a constants, shared with Fingerprint.
+// Word-mix FNV-1a constants of the payload checksums.
 const (
 	checksumOffset64 = 14695981039346656037
 	checksumPrime64  = 1099511628211
@@ -10,10 +10,10 @@ const (
 
 // PayloadChecksum returns a 64-bit integrity checksum over the raw bit
 // patterns of every element, mixing whole 64-bit words instead of bytes.
-// It is ~8x cheaper than Fingerprint and is meant for silent-data-corruption
-// detection on cached payloads (QR factors, real-embedded R), not for hash
-// keying: the multiply is bijective, so any single-word corruption — any bit
-// flip, including ones that produce NaN/Inf — changes the checksum.
+// It is meant for silent-data-corruption detection on cached payloads (QR
+// factors, real-embedded R), not for hash keying: the multiply is
+// bijective, so any single-word corruption — any bit flip, including ones
+// that produce NaN/Inf — changes the checksum.
 //
 // The words are folded through four independent FNV-style lanes combined at
 // the end: the serial xor-multiply dependency chain is the latency bound of
@@ -24,8 +24,13 @@ const (
 func (m *Matrix) PayloadChecksum() uint64 {
 	h0 := (uint64(checksumOffset64) ^ uint64(m.Rows)) * checksumPrime64
 	h1 := (uint64(checksumOffset64) ^ uint64(m.Cols)) * checksumPrime64
+	return complexChecksum(h0, h1, m.Data)
+}
+
+// complexChecksum folds data through the four lanes, seeding lanes 0 and 1
+// with the caller's shape words.
+func complexChecksum(h0, h1 uint64, d []complex128) uint64 {
 	h2, h3 := uint64(checksumOffset64), uint64(checksumOffset64)
-	d := m.Data
 	for len(d) >= 2 {
 		h0 = (h0 ^ math.Float64bits(real(d[0]))) * checksumPrime64
 		h1 = (h1 ^ math.Float64bits(imag(d[0]))) * checksumPrime64
@@ -51,15 +56,11 @@ func mixLanes(h0, h1, h2, h3 uint64) uint64 {
 	return h
 }
 
-// PayloadChecksum is the vector form of Matrix.PayloadChecksum.
+// PayloadChecksum is the vector form of Matrix.PayloadChecksum (same
+// four-lane structure, seeded with the length).
 func (v Vector) PayloadChecksum() uint64 {
-	h := uint64(checksumOffset64)
-	h = (h ^ uint64(len(v))) * checksumPrime64
-	for _, x := range v {
-		h = (h ^ math.Float64bits(real(x))) * checksumPrime64
-		h = (h ^ math.Float64bits(imag(x))) * checksumPrime64
-	}
-	return h
+	h0 := (uint64(checksumOffset64) ^ uint64(len(v))) * checksumPrime64
+	return complexChecksum(h0, checksumOffset64, v)
 }
 
 // Float64Checksum is the real-valued form of PayloadChecksum (same

@@ -14,6 +14,7 @@ package cmatrix
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"strings"
 )
@@ -184,29 +185,36 @@ func (m *Matrix) IsUpperTriangular(tol float64) bool {
 	return true
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash over the matrix shape and the
-// raw bit patterns of every element. The sphere decoder's preprocessing
-// cache keys QR factorizations by this value (with a full equality check on
-// hit, so a collision costs a recompute, never a wrong factorization).
+// Fingerprint returns a 64-bit hash over the matrix shape and the raw bit
+// patterns of every element. The sphere decoder's preprocessing cache keys
+// QR factorizations by this value, with a full equality check on hit, so a
+// collision costs a recompute, never a wrong factorization; sdproxy places
+// channels on its ring by it.
+//
+// Two lanes fold the real and the imaginary word of each entry side by side,
+// each with an xxHash64 round (multiply the word in, rotate, multiply), and
+// the xxHash64 avalanche mixes the joined lanes so every input bit reaches
+// every output bit. Hash quality is a performance property here, not a
+// correctness one; the word-wise rounds run about ten times faster than a
+// byte-serial hash over the same bits.
 func (m *Matrix) Fingerprint() uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		prime1 = 11400714785074694791
+		prime2 = 14029467366897019727
+		prime3 = 1609587929392839161
 	)
-	h := uint64(offset64)
-	mix := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-	}
-	mix(uint64(m.Rows))
-	mix(uint64(m.Cols))
+	h0 := (uint64(m.Rows) + prime1) * prime2
+	h1 := (uint64(m.Cols) + prime2) * prime1
 	for _, v := range m.Data {
-		mix(math.Float64bits(real(v)))
-		mix(math.Float64bits(imag(v)))
+		h0 = bits.RotateLeft64(h0+math.Float64bits(real(v))*prime2, 31) * prime1
+		h1 = bits.RotateLeft64(h1+math.Float64bits(imag(v))*prime2, 31) * prime1
 	}
+	h := bits.RotateLeft64(h0, 1) + bits.RotateLeft64(h1, 7) + uint64(len(m.Data))
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
 }
 

@@ -218,8 +218,8 @@ func BackSubstituteReal(r []float64, n int, b, x []float64) error {
 // ‖y − Hs‖² — the identity the real-valued decomposition decoder rests on.
 // Note the embedding of a complex QR is NOT upper triangular in this block
 // ordering; under the interleaved coordinate ordering it is (see
-// sphere.RealPre), which is how the decode hot path derives its real factor
-// from the complex one instead of calling QRReal again.
+// sphere.RealPre), which is why the serving QR kernel can write its real
+// factor in that layout directly instead of calling QRReal.
 func RealEmbed(h *Matrix, dst []float64) []float64 {
 	n, m := h.Rows, h.Cols
 	if len(dst) < 4*n*m {

@@ -213,6 +213,54 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintMixes checks the word-wise hash's diffusion: every single
+// bit of every word moves it, the real and imaginary lanes are not
+// interchangeable, and low-entropy channels (QPSK-valued entries) spread
+// evenly over both the high and the low bits, which the cache map and the
+// shard ring respectively depend on.
+func TestFingerprintMixes(t *testing.T) {
+	a := FromSlice(3, 3, []complex128{1, 2i, 3, -4, 5 + 5i, 0, 7, 8, -9i})
+	base := a.Fingerprint()
+	for i := range a.Data {
+		for part := 0; part < 2; part++ {
+			for bit := 0; bit < 64; bit++ {
+				b := a.Clone()
+				re, im := math.Float64bits(real(b.Data[i])), math.Float64bits(imag(b.Data[i]))
+				if part == 0 {
+					re ^= 1 << bit
+				} else {
+					im ^= 1 << bit
+				}
+				b.Data[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
+				if b.Fingerprint() == base {
+					t.Fatalf("flipping bit %d of word %d.%d left the fingerprint unchanged", bit, i, part)
+				}
+			}
+		}
+	}
+	if FromSlice(1, 1, []complex128{1 + 2i}).Fingerprint() == FromSlice(1, 1, []complex128{2 + 1i}).Fingerprint() {
+		t.Fatal("swapping the real and imaginary parts left the fingerprint unchanged")
+	}
+
+	qpsk := []complex128{1 + 1i, 1 - 1i, -1 + 1i, -1 - 1i}
+	const n = 4096 // every 2×3 QPSK-valued matrix
+	var hi, lo [16]int
+	for k := 0; k < n; k++ {
+		m := NewMatrix(2, 3)
+		for i, code := 0, k; i < len(m.Data); i, code = i+1, code/4 {
+			m.Data[i] = qpsk[code%4]
+		}
+		fp := m.Fingerprint()
+		hi[fp>>60]++
+		lo[fp&15]++
+	}
+	for b := range hi {
+		if hi[b] < n/16*3/4 || hi[b] > n/16*5/4 || lo[b] < n/16*3/4 || lo[b] > n/16*5/4 {
+			t.Fatalf("bucket %d: %d high-bit and %d low-bit hits, want %d ± 25%%", b, hi[b], lo[b], n/16)
+		}
+	}
+}
+
 func TestSetFromInterleaveRoundTrip(t *testing.T) {
 	r := rng.New(19)
 	m := randomMatrix(r, 9, 13)

@@ -98,6 +98,11 @@ type Accelerator struct {
 	workers int                     // resolved batch parallelism (>= 1)
 	reuseQR bool                    // factor each distinct H once per batch
 
+	// batchCaches holds the batch-local caches used when cross-batch reuse
+	// is off: each batch takes one for its within-batch dedup and empties
+	// it first, so its misses refactor into the previous batch's storage.
+	batchCaches sync.Pool
+
 	// basePolicy is the policy the base decoder realizes; WithPolicy calls
 	// that match it reuse a.sd directly. Other policies build (once) and
 	// cache a derived decoder in sdCache — DecodePolicy is comparable, so
@@ -258,6 +263,7 @@ func (a *Accelerator) Decode(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float
 		if err != nil {
 			return nil, fmt.Errorf("sphere: preprocessing failed: %w", err)
 		}
+		defer a.cache.Release(pre)
 		return a.sd.DecodePre(pre, y, noiseVar, pre.Flops)
 	}
 	return a.sd.Decode(h, y, noiseVar)
@@ -476,10 +482,12 @@ func (a *Accelerator) DecodeBatch(inputs []BatchInput, opts ...BatchOption) (*Ba
 	// counters are deterministic regardless of cross-batch cache warmth or
 	// decode order.
 	preStart := time.Now()
-	var err error
-	if l.pres, err = a.preprocessBatch(inputs); err != nil {
+	cache, pres, err := a.preprocessBatch(inputs)
+	if err != nil {
 		return nil, err
 	}
+	defer a.releaseBatch(cache, pres)
+	l.pres = pres
 	if l.bt != nil {
 		l.bt.AddPhase("preprocess", preStart, time.Now())
 		l.bt.Frames = make([]*trace.SearchTrace, len(inputs))
@@ -649,10 +657,12 @@ func (l *frameLoop) fail(i int, err error) {
 }
 
 // prepared is one frame's preprocessed channel and the QR flops its decode
-// charges.
+// charges. held marks the frame whose cache Get took the batch's reference
+// on the handle.
 type prepared struct {
 	pre    *sphere.Preprocessed
 	charge int64
+	held   bool
 }
 
 // preprocessBatch resolves every input's channel to a Preprocessed handle.
@@ -660,23 +670,29 @@ type prepared struct {
 // share one factorization; the charge is the handle's Flops on the first
 // frame using each distinct handle and 0 after, so the batch trace charges
 // each QR exactly once. With reuse off, every frame gets its own
-// factorization and full charge — the seed accounting.
-func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]prepared, error) {
+// factorization and full charge — the seed accounting. It returns the cache
+// the handles came from (nil with reuse off), to be passed to releaseBatch.
+func (a *Accelerator) preprocessBatch(inputs []BatchInput) (*sphere.PreprocessCache, []prepared, error) {
 	pres := make([]prepared, len(inputs))
 	if !a.reuseQR {
 		for i, in := range inputs {
 			p, err := sphere.Preprocess(in.H)
 			if err != nil {
-				return nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
+				return nil, nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
 			}
-			pres[i] = prepared{p, p.Flops}
+			pres[i] = prepared{pre: p, charge: p.Flops}
 		}
-		return pres, nil
+		return nil, pres, nil
 	}
 	cache := a.cache
 	if cache == nil {
 		// Cross-batch caching disabled: dedup within this batch only.
-		cache = sphere.NewPreprocessCache(len(inputs))
+		if c, ok := a.batchCaches.Get().(*sphere.PreprocessCache); ok {
+			cache = c
+			cache.Reset(len(inputs))
+		} else {
+			cache = sphere.NewPreprocessCache(len(inputs))
+		}
 	}
 	byPtr := make(map[*cmatrix.Matrix]*sphere.Preprocessed, len(inputs))
 	seen := make(map[*sphere.Preprocessed]bool, len(inputs))
@@ -686,9 +702,11 @@ func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]prepared, error) {
 			var err error
 			p, err = cache.Get(in.H)
 			if err != nil {
-				return nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
+				a.releaseBatch(cache, pres[:i])
+				return nil, nil, fmt.Errorf("core: batch element %d: sphere: preprocessing failed: %w", i, err)
 			}
 			byPtr[in.H] = p
+			pres[i].held = true
 		}
 		pres[i].pre = p
 		if !seen[p] {
@@ -696,7 +714,24 @@ func (a *Accelerator) preprocessBatch(inputs []BatchInput) ([]prepared, error) {
 			pres[i].charge = p.Flops
 		}
 	}
-	return pres, nil
+	return cache, pres, nil
+}
+
+// releaseBatch drops the batch's references on its cached handles once its
+// frame loop is done, so the cache may recycle them after eviction, and
+// returns a batch-local cache to the pool.
+func (a *Accelerator) releaseBatch(cache *sphere.PreprocessCache, pres []prepared) {
+	if cache == nil {
+		return
+	}
+	for _, p := range pres {
+		if p.held {
+			cache.Release(p.pre)
+		}
+	}
+	if cache != a.cache {
+		a.batchCaches.Put(cache)
+	}
 }
 
 // finishReport prices the aggregated batch trace through the pipeline model

@@ -206,46 +206,57 @@ func TestParallelNodeBudget(t *testing.T) {
 // TestAcceleratorConcurrentHammer drives one Accelerator from many
 // goroutines mixing single decodes and parallel batches; under -race this
 // is the thread-safety check for the shared cache + pooled search state.
+// It runs at the default cache size, at one smaller than the channel set
+// (so released handles are evicted and recycled under load), and with the
+// cross-batch cache off (pooled batch-local caches).
 func TestAcceleratorConcurrentHammer(t *testing.T) {
 	cfg := cfg4()
-	a := MustNew(fpga.Optimized, cfg.Mod, cfg.Tx, cfg.Rx, Options{ScalarEval: true, Workers: 2})
 	inputs, _ := batchFor(t, cfg, 8, 8, 406)
-	want, err := a.DecodeBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rng.New(uint64(500 + w))
-			for i := 0; i < 10; i++ {
-				if w%2 == 0 {
-					rep, err := a.DecodeBatch(inputs)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if rep.Counters != want.Counters {
-						t.Error("concurrent batch diverged")
-						return
-					}
-				} else {
-					f, err := mimo.GenerateFrame(r, cfg, 8)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if _, err := a.Decode(f.H, f.Y, f.NoiseVar); err != nil {
-						t.Error(err)
-						return
+	for _, entries := range []int{0, 4, -1} {
+		a := MustNew(fpga.Optimized, cfg.Mod, cfg.Tx, cfg.Rx, Options{ScalarEval: true, Workers: 2, PreprocessCacheEntries: entries})
+		want, err := a.DecodeBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				r := rng.New(uint64(500 + w))
+				for i := 0; i < 10; i++ {
+					if w%2 == 0 {
+						rep, err := a.DecodeBatch(inputs)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if rep.Counters != want.Counters {
+							t.Errorf("cache entries %d: concurrent batch diverged", entries)
+							return
+						}
+						for j, res := range rep.Results {
+							if res.Metric != want.Results[j].Metric {
+								t.Errorf("cache entries %d: frame %d metric %g, want %g", entries, j, res.Metric, want.Results[j].Metric)
+								return
+							}
+						}
+					} else {
+						f, err := mimo.GenerateFrame(r, cfg, 8)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := a.Decode(f.H, f.Y, f.NoiseVar); err != nil {
+							t.Error(err)
+							return
+						}
 					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestWorkersOption resolves the Workers knob.

@@ -3,6 +3,7 @@ package sphere
 import (
 	"testing"
 
+	"repro/internal/cmatrix"
 	"repro/internal/constellation"
 	"repro/internal/decoder"
 	"repro/internal/rng"
@@ -175,5 +176,38 @@ func BenchmarkPreprocessCacheGet(b *testing.B) {
 		if _, err := cache.Get(h); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPreprocessCacheMiss prices the serving miss path on 10×10
+// channels: Get on a cache smaller than the channel set (so every lookup
+// misses and refactors into a recycled handle), the per-frame rotation, and
+// Release. Steady state allocates nothing.
+func BenchmarkPreprocessCacheMiss(b *testing.B) {
+	r := rng.New(63)
+	c := constellation.New(constellation.QAM16)
+	const channels = 16
+	hs := make([]*cmatrix.Matrix, channels)
+	ys := make([]cmatrix.Vector, channels)
+	for i := range hs {
+		hs[i], ys[i], _, _ = makeInstance(r, c, 10, 10, 14)
+	}
+	cache := NewPreprocessCache(channels / 2)
+	z := make(cmatrix.Vector, 10)
+	miss := func(i int) {
+		pre, err := cache.Get(hs[i%channels])
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre.rotate(z, ys[i%channels])
+		cache.Release(pre)
+	}
+	for i := 0; i < channels; i++ {
+		miss(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(i)
 	}
 }

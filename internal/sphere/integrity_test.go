@@ -26,7 +26,7 @@ func residualLInfSq(t *testing.T, h *cmatrix.Matrix, y cmatrix.Vector, syms cmat
 		t.Fatal(err)
 	}
 	rp := pre.Real()
-	ybar := pre.F.QHMulVec(y)
+	ybar := pre.rotate(make(cmatrix.Vector, pre.N), y)
 	dim := rp.Dim
 	rybar := make([]float64, dim)
 	sr := make([]float64, dim)
@@ -155,7 +155,7 @@ func TestCacheEvictsCorruptedEntry(t *testing.T) {
 	}
 	// Poison the cached R with NaN — the exact failure the old bit-compare
 	// of H could never see.
-	pre.F.R.Data[3] = complex(math.NaN(), imag(pre.F.R.Data[3]))
+	pre.rp.R[3] = math.NaN()
 	fresh, err := cache.Get(h)
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +163,10 @@ func TestCacheEvictsCorruptedEntry(t *testing.T) {
 	if fresh == pre {
 		t.Fatal("poisoned cache entry served again")
 	}
-	if !fresh.F.R.IsFinite() {
-		t.Fatal("refactored entry still non-finite")
+	for _, x := range fresh.Real().R {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatal("refactored entry still non-finite")
+		}
 	}
 	if got := cache.SDCEvictions(); got != 1 {
 		t.Fatalf("SDCEvictions = %d, want 1", got)

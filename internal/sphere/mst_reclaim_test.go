@@ -86,10 +86,10 @@ func TestLIFOArenaBounded(t *testing.T) {
 		cfg.OnExpand = func(int) { peak = max(peak, st.mst.Len()) }
 		if strat == RealSE {
 			st = acquireRealSearch(&cfg, pre.Real(), d.pam, Limits{})
-			st.computeRealYbar(pre.F, y)
+			st.computeRealYbar(pre, y)
 		} else {
-			st = acquireSearch(&cfg, pre.F.R, Limits{})
-			st.computeYbar(pre.F, y)
+			st = acquireSearch(&cfg, pre.complexR(), Limits{})
+			st.computeYbar(pre, y)
 		}
 		if _, _, err := st.runAttempts(math.Inf(1), time.Time{}, 0, 0); err != nil {
 			t.Fatal(err)

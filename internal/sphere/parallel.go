@@ -98,8 +98,8 @@ func (d *ParallelSD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar flo
 	if d.cfg.Deadline > 0 {
 		deadline = start.Add(d.cfg.Deadline)
 	}
-	f := pre.F
-	ybar := f.QHMulVec(y)
+	r := pre.complexR()
+	ybar := pre.rotate(make(cmatrix.Vector, pre.N), y)
 	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
 	if offset < 0 {
 		offset = 0
@@ -125,7 +125,7 @@ func (d *ParallelSD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar flo
 
 	// First-level branching is done once: child c of the root decides
 	// antenna m−1 with PD |ȳ_{m−1} − R[m−1][m−1]·ω_c|².
-	rowTop := f.R.Row(m - 1)
+	rowTop := r.Row(m - 1)
 	type subtree struct {
 		sym int
 		pd  float64
@@ -168,7 +168,7 @@ func (d *ParallelSD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar flo
 					res.counters.ChildrenPruned++
 					continue
 				}
-				pe := newPESearch(&d.cfg, f.R, ybar, radius)
+				pe := newPESearch(&d.cfg, r, ybar, radius)
 				pe.deadline = deadline
 				path, pd := pe.exploreSubtree(st.sym, st.pd)
 				res.counters.Add(pe.counters)
@@ -214,7 +214,7 @@ func (d *ParallelSD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar flo
 	case truncated != "":
 		res.Quality = decoder.QualityBestEffort
 		res.DegradedBy = truncated
-		fbIdx, fbPD, fbFlops := fallbackPoint(f.R, ybar, d.cfg.Const)
+		fbIdx, fbPD, fbFlops := fallbackPoint(r, ybar, d.cfg.Const)
 		res.Counters.OtherFlops += fbFlops
 		if bestPath == nil || fbPD < bestPD {
 			bestPath, bestPD = fbIdx, fbPD

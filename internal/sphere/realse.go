@@ -44,12 +44,12 @@ func acquireRealSearch(cfg *Config, rp *RealPre, pam []float64, lim Limits) *sea
 	return s
 }
 
-// computeRealYbar rotates y with the complex kernel (ȳ = Qᴴy, the same
-// per-frame rotation the complex hot path runs) and interleaves the result
-// into the real ordering (Re ȳ_j, Im ȳ_j per antenna) — which IS ȳr = Qrᵀ·yr
-// for the interleaved real factorization (see RealPre). Pooled buffers only.
-func (s *search) computeRealYbar(f *cmatrix.QRFactorization, y cmatrix.Vector) []float64 {
-	ybar := s.computeYbar(f, y)
+// computeRealYbar rotates y with the handle's reflectors (computeYbar, the
+// one per-frame rotation of both engines) and interleaves the result into
+// the real ordering (Re ȳ_j, Im ȳ_j per antenna) — which IS ȳr = Qrᵀ·yr for
+// the interleaved real factorization (see RealPre). Pooled buffers only.
+func (s *search) computeRealYbar(pre *Preprocessed, y cmatrix.Vector) []float64 {
+	ybar := s.computeYbar(pre, y)
 	s.rybarBuf = growFloats(s.rybarBuf, 2*len(ybar))
 	for k, v := range ybar {
 		s.rybarBuf[2*k], s.rybarBuf[2*k+1] = real(v), imag(v)
@@ -233,7 +233,7 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 		deadline = start.Add(d.cfg.Deadline)
 	}
 	st := acquireRealSearch(&d.cfg, rp, d.pam, lim)
-	rybar := st.computeRealYbar(pre.F, y)
+	rybar := st.computeRealYbar(pre, y)
 	// ‖y − Hs‖² = ‖ȳr − Rr·sr‖² + offset; offset = ‖yr‖² − ‖ȳr‖² ≥ 0, and
 	// ‖yr‖² = ‖y‖² (the embedding is an isometry).
 	var offset float64
@@ -346,12 +346,10 @@ func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64
 // linear emergency decision in the real domain, under the configured norm.
 func (d *SD) decodeFallbackPreReal(pre *Preprocessed, y cmatrix.Vector, qrFlops int64) (*decoder.Result, error) {
 	rp := pre.Real()
-	ybarC := make(cmatrix.Vector, pre.M)
-	pre.F.QHMulVecInto(ybarC, y)
-	rybar := make([]float64, rp.Dim)
-	for k, v := range ybarC {
-		rybar[2*k], rybar[2*k+1] = real(v), imag(v)
-	}
+	// Rotate into a pooled search's buffers, as decodePreReal does.
+	st := searchPool.Get().(*search)
+	defer st.release()
+	rybar := st.computeRealYbar(pre, y)
 	var offset float64
 	if d.cfg.Norm == NormL2 {
 		var yn, bn float64

@@ -40,8 +40,7 @@ func realReducedSetup(t *testing.T, h *cmatrix.Matrix, y cmatrix.Vector) (*RealP
 		t.Fatal(err)
 	}
 	rp := pre.Real()
-	ybarC := make(cmatrix.Vector, pre.M)
-	pre.F.QHMulVecInto(ybarC, y)
+	ybarC := pre.rotate(make(cmatrix.Vector, pre.N), y)
 	rybar := make([]float64, rp.Dim)
 	for k, v := range ybarC {
 		rybar[2*k], rybar[2*k+1] = real(v), imag(v)

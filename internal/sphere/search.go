@@ -156,16 +156,14 @@ func (s *search) setLimits(cfg *Config, lim Limits) {
 	}
 }
 
-// computeYbar rotates y into the reduced domain (ȳ = Qᴴy) using the pooled
-// buffer and installs it as the search's ȳ.
-func (s *search) computeYbar(f *cmatrix.QRFactorization, y cmatrix.Vector) cmatrix.Vector {
-	n := f.Q.Cols
-	if cap(s.ybarBuf) < n {
-		s.ybarBuf = make(cmatrix.Vector, n)
+// computeYbar rotates y into the reduced domain (ȳ = Qᴴy) with the handle's
+// reflectors, using the pooled buffer (length N: the rotation works on the
+// whole vector), and installs it as the search's ȳ.
+func (s *search) computeYbar(pre *Preprocessed, y cmatrix.Vector) cmatrix.Vector {
+	if cap(s.ybarBuf) < pre.N {
+		s.ybarBuf = make(cmatrix.Vector, pre.N)
 	}
-	s.ybarBuf = s.ybarBuf[:n]
-	f.QHMulVecInto(s.ybarBuf, y)
-	s.ybar = s.ybarBuf
+	s.ybar = pre.rotate(s.ybarBuf[:pre.N], y)
 	return s.ybar
 }
 

@@ -107,14 +107,14 @@ func (d *SoftDecoder) DecodeSoftPre(pre *Preprocessed, y cmatrix.Vector, noiseVa
 	if noiseVar <= 0 || math.IsNaN(noiseVar) {
 		return nil, fmt.Errorf("sphere: soft output needs a positive noise variance, got %v", noiseVar)
 	}
-	f := pre.F
+	r := pre.complexR()
 	start := time.Now()
-	st := acquireSearch(&d.cfg, f.R, Limits{})
+	st := acquireSearch(&d.cfg, r, Limits{})
 	defer st.release()
 	if d.cfg.VerifyGEMM {
 		st.rowMass = pre.RowMass()
 	}
-	ybar := st.computeYbar(f, y)
+	ybar := st.computeYbar(pre, y)
 	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
 	if offset < 0 {
 		offset = 0
@@ -153,7 +153,7 @@ func (d *SoftDecoder) DecodeSoftPre(pre *Preprocessed, y cmatrix.Vector, noiseVa
 		// Truncated before any leaf: hard fallback decision with saturated
 		// LLRs in the direction of the fallback bits — flagged so a channel
 		// decoder can deweight or discard the frame.
-		fbIdx, fbPD, fbFlops := fallbackPoint(f.R, ybar, cons)
+		fbIdx, fbPD, fbFlops := fallbackPoint(r, ybar, cons)
 		st.counters.OtherFlops += fbFlops
 		syms := make(cmatrix.Vector, m)
 		llr := make([]float64, nBits)

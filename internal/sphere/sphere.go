@@ -485,11 +485,12 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 	if d.cfg.Deadline > 0 {
 		deadline = start.Add(d.cfg.Deadline)
 	}
-	st := acquireSearch(&d.cfg, pre.F.R, lim)
+	r := pre.complexR()
+	st := acquireSearch(&d.cfg, r, lim)
 	if d.cfg.VerifyGEMM {
 		st.rowMass = pre.RowMass()
 	}
-	ybar := st.computeYbar(pre.F, y)
+	ybar := st.computeYbar(pre, y)
 	// ‖y − Hs‖² = ‖ȳ − Rs‖² + offset; offset = ‖y‖² − ‖ȳ‖² ≥ 0.
 	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
 	if offset < 0 { // numerical guard
@@ -501,7 +502,7 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 
 	radius := d.initialRadius(pre.N, noiseVar)
 	if d.cfg.BabaiRadius && d.cfg.InitialRadiusSq == 0 {
-		radius = babaiRadiusSq(pre.F.R, ybar, d.cfg.Const)
+		radius = babaiRadiusSq(r, ybar, d.cfg.Const)
 		preFlops += 8 * m * m // back-substitution + slicing pass
 	}
 	var info *SearchInfo
@@ -533,7 +534,7 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		// The emergency decision: the better of the Babai point and the
 		// sliced ZF solution — always available, metric ≤ plain ZF. Use it
 		// whenever the truncated search has nothing better.
-		fbIdx, fbPD, fbFlops := fallbackPoint(pre.F.R, ybar, d.cfg.Const)
+		fbIdx, fbPD, fbFlops := fallbackPoint(r, ybar, d.cfg.Const)
 		res.Counters.OtherFlops += fbFlops
 		if !st.haveBest || st.bestPD > fbPD {
 			copy(idx, fbIdx)
@@ -603,13 +604,15 @@ func (d *SD) DecodeFallbackPre(pre *Preprocessed, y cmatrix.Vector, noiseVar flo
 	if d.cfg.Strategy == RealSE {
 		return d.decodeFallbackPreReal(pre, y, qrFlops)
 	}
-	ybar := pre.F.QHMulVec(y)
+	st := searchPool.Get().(*search)
+	defer st.release()
+	ybar := st.computeYbar(pre, y)
 	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
 	if offset < 0 {
 		offset = 0
 	}
 	n, m := int64(pre.N), int64(pre.M)
-	idx, pd, fbFlops := fallbackPoint(pre.F.R, ybar, d.cfg.Const)
+	idx, pd, fbFlops := fallbackPoint(pre.complexR(), ybar, d.cfg.Const)
 	syms := make(cmatrix.Vector, pre.M)
 	for i, id := range idx {
 		syms[i] = d.cfg.Const.Symbol(id)
