@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire fuzz-preprocess bench bench-check
+.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire fuzz-preprocess fuzz-encode bench bench-check
 
 # check is the gate: static analysis, build, a single-iteration pass over
 # every benchmark (so the bench harness itself cannot rot), the serving
@@ -13,9 +13,9 @@ GO ?= go
 # (speedup, comparator-free, zero-alloc, servable), the adaptive
 # complexity controller's A/B gate end to end, the silent-data-
 # corruption defense under seeded fault injection, and short fuzzes of
-# the wire parser against encoding/json and of the serving QR kernel
-# against cmatrix.QR.
-check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire fuzz-preprocess
+# the wire parser against encoding/json, of the serving QR kernel
+# against cmatrix.QR, and of the response appender against encoding/json.
+check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire fuzz-preprocess fuzz-encode
 
 vet:
 	$(GO) vet ./...
@@ -123,6 +123,13 @@ fuzz-wire:
 fuzz-preprocess:
 	$(GO) test -run='^$$' -fuzz=FuzzPreprocess -fuzztime=10s ./internal/sphere/
 
+# fuzz-encode fuzzes the POST /v1/decode response appender differentially
+# against encoding/json for 10 s: the single-frame and envelope bodies must
+# be byte-identical to json.Encoder on the exported response types, and
+# must fail exactly where it fails (a non-finite metric).
+fuzz-encode:
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeResponse -fuzztime=10s ./internal/serve/
+
 # fuzz runs the native fuzzers for a short budget each (they also run as
 # plain regression tests under `make test` via their seed corpora).
 fuzz:
@@ -130,3 +137,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPreprocess -fuzztime=30s ./internal/sphere/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeResponse -fuzztime=30s ./internal/serve/

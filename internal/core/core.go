@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -94,6 +95,7 @@ type Accelerator struct {
 	design  *fpga.Design
 	sd      *sphere.SD
 	cons    *constellation.Constellation
+	symMax  float64                 // largest |s| over the constellation
 	cache   *sphere.PreprocessCache // nil when cross-batch reuse is off
 	workers int                     // resolved batch parallelism (>= 1)
 	reuseQR bool                    // factor each distinct H once per batch
@@ -189,6 +191,9 @@ func New(v fpga.Variant, mod constellation.Modulation, m, n int, opts Options) (
 	}
 	cons := constellation.New(mod)
 	a := &Accelerator{design: design, cons: cons}
+	for _, p := range cons.Points() {
+		a.symMax = max(a.symMax, cmplx.Abs(p))
+	}
 	sd, err := sphere.New(sphere.Config{
 		Const:           cons,
 		Strategy:        opts.Strategy,
@@ -286,8 +291,9 @@ type BatchInput struct {
 }
 
 // ValidateInput checks one batch element against the accelerator's
-// configuration and the numeric contract (finite entries, positive noise
-// variance) without decoding it. All failures wrap ErrInvalidInput.
+// configuration and the numeric contract (finite entries, a search metric
+// that cannot overflow, positive noise variance) without decoding it. All
+// failures wrap ErrInvalidInput.
 //
 // Serving front ends (internal/serve) call this at admission time so a
 // malformed frame is rejected at submit instead of poisoning the coalesced
@@ -304,11 +310,22 @@ func (a *Accelerator) ValidateInput(in BatchInput) error {
 		return fmt.Errorf("%w: observation length %d, want %d",
 			ErrInvalidInput, len(in.Y), a.design.N)
 	}
-	if !in.H.IsFinite() {
-		return fmt.Errorf("%w: channel matrix has NaN/Inf entries", ErrInvalidInput)
-	}
-	if !in.Y.IsFinite() {
-		return fmt.Errorf("%w: observation has NaN/Inf entries", ErrInvalidInput)
+	// Finite entries can still overflow the metric the search forms: every
+	// leaf's ‖ȳ − Rs‖ is at most b = ‖y‖ + ‖H‖_F·√M·max|s|, and no leaf
+	// beats an infinite metric. Requiring (2b)² to be finite also bounds
+	// the QR's reflector energies (at most 4‖H‖²_F, and max|s| ≥ 1) and
+	// leaves headroom for rounding. A NaN/Inf entry makes b non-finite too,
+	// so a valid input costs one pass; the entry scans only name the failure.
+	b := math.Sqrt(cmatrix.Norm2Sq(in.Y)) +
+		math.Sqrt(cmatrix.Norm2Sq(in.H.Data)*float64(a.design.M))*a.symMax
+	if !(4*b*b <= math.MaxFloat64) {
+		switch {
+		case !in.H.IsFinite():
+			return fmt.Errorf("%w: channel matrix has NaN/Inf entries", ErrInvalidInput)
+		case !in.Y.IsFinite():
+			return fmt.Errorf("%w: observation has NaN/Inf entries", ErrInvalidInput)
+		}
+		return fmt.Errorf("%w: search metric overflows (‖y‖ + ‖H‖_F·√M·max|s| = %g)", ErrInvalidInput, b)
 	}
 	if in.NoiseVar <= 0 || math.IsNaN(in.NoiseVar) || math.IsInf(in.NoiseVar, 0) {
 		return fmt.Errorf("%w: noise variance %v (want finite > 0)", ErrInvalidInput, in.NoiseVar)

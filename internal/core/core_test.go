@@ -11,6 +11,7 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/mimo"
 	"repro/internal/rng"
+	"repro/internal/sphere"
 )
 
 func cfg4() mimo.Config { return mimo.Config{Tx: 6, Rx: 6, Mod: constellation.QAM4} }
@@ -372,6 +373,46 @@ func TestDecodeBatchBudgetValidation(t *testing.T) {
 	}
 }
 
+// TestValidateInputAdmitsOnlyDecodable: every frame ValidateInput admits
+// decodes. The scales sweep the top of the float64 range, where ‖H‖²_F and
+// ‖y‖² are each finite but the search's metric ‖ȳ − Rs‖² need not be (a
+// 4×4 H = 6e153·I with y = 1.3e154·e₁ puts every leaf at about 2e308).
+func TestValidateInputAdmitsOnlyDecodable(t *testing.T) {
+	scales := []float64{1e100, 1e150, 3e153, 6e153, 1e154, 1.3e154, 3e154, 1e155}
+	for _, mod := range []constellation.Modulation{constellation.QAM4, constellation.QAM16} {
+		for _, strat := range []sphere.Strategy{sphere.SortedDFS, sphere.RealSE} {
+			acc := MustNew(fpga.Optimized, mod, 4, 4, Options{Strategy: strat})
+			admitted := 0
+			for _, hs := range scales {
+				for _, ys := range scales {
+					h := cmatrix.NewMatrix(4, 4)
+					for i := range 4 {
+						h.Set(i, i, complex(hs, 0))
+					}
+					y := make(cmatrix.Vector, 4)
+					y[0] = complex(ys, 0)
+					in := BatchInput{H: h, Y: y, NoiseVar: 1}
+					if acc.ValidateInput(in) != nil {
+						continue
+					}
+					admitted++
+					rep, err := acc.DecodeBatch([]BatchInput{in})
+					if err != nil {
+						t.Errorf("%v/%v H=%g·I y=%g·e₁: admitted but %v", mod, strat, hs, ys, err)
+						continue
+					}
+					if m := rep.Results[0].Metric; math.IsInf(m, 0) || math.IsNaN(m) {
+						t.Errorf("%v/%v H=%g·I y=%g·e₁: admitted with metric %v", mod, strat, hs, ys, m)
+					}
+				}
+			}
+			if admitted == 0 {
+				t.Errorf("%v/%v: no scale admitted", mod, strat)
+			}
+		}
+	}
+}
+
 func TestValidateInput(t *testing.T) {
 	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{})
 	inputs, _ := batchFor(t, cfg4(), 10, 1, 5)
@@ -379,16 +420,37 @@ func TestValidateInput(t *testing.T) {
 	if err := acc.ValidateInput(good); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
+	// Finite entries whose energy overflows the search metric: no leaf
+	// beats an infinite ‖ȳ − Rs‖², and an infinite ‖H‖²_F has no usable QR.
+	hugeY := cmatrix.CloneVector(good.Y)
+	hugeY[2] = 1e200
+	hugeH := good.H.Clone()
+	hugeH.Data[0] = complex(1.7e308, 1.7e308)
+	// ‖H‖²_F = 1.5e308 and ‖y‖² = 1.69e308 are each finite, but every
+	// leaf's ‖ȳ − Rs‖² is at least (1.3e154 − 5e153)² + 5·(5e153)² ≈ 1.9e308.
+	bigH := cmatrix.NewMatrix(6, 6)
+	for i := range 6 {
+		bigH.Set(i, i, 5e153)
+	}
+	bigY := make(cmatrix.Vector, 6)
+	bigY[0] = 1.3e154
 	cases := map[string]BatchInput{
 		"nil H":     {H: nil, Y: good.Y, NoiseVar: good.NoiseVar},
 		"short Y":   {H: good.H, Y: good.Y[:5], NoiseVar: good.NoiseVar},
 		"neg noise": {H: good.H, Y: good.Y, NoiseVar: -1},
 		"nan noise": {H: good.H, Y: good.Y, NoiseVar: math.NaN()},
+		"huge y":    {H: good.H, Y: hugeY, NoiseVar: good.NoiseVar},
+		"huge H":    {H: hugeH, Y: good.Y, NoiseVar: good.NoiseVar},
+		"big H, y":  {H: bigH, Y: bigY, NoiseVar: good.NoiseVar},
 	}
 	for name, in := range cases {
 		if err := acc.ValidateInput(in); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("%s: %v, want ErrInvalidInput", name, err)
 		}
+	}
+	// DecodeBatch callers that skip admission get the same check.
+	if _, err := acc.DecodeBatch([]BatchInput{good, cases["huge y"]}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("DecodeBatch with an overflowing y: %v, want ErrInvalidInput", err)
 	}
 	wrong := cmatrix.NewMatrix(4, 4)
 	if err := acc.ValidateInput(BatchInput{H: wrong, Y: good.Y[:4], NoiseVar: good.NoiseVar}); !errors.Is(err, ErrInvalidInput) {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cmatrix"
 	"repro/internal/core"
@@ -31,8 +30,8 @@ type DecodeRequest struct {
 	// NoiseVar is the complex noise variance σ².
 	NoiseVar float64 `json:"noise_var,omitempty"`
 	// Frames is the batch form: each entry is a single-frame request. The
-	// frames are submitted concurrently so the scheduler can coalesce them
-	// into one dispatch. Entries may not themselves carry frames.
+	// envelope is submitted as one unit so the scheduler can coalesce its
+	// frames into shared dispatches. Entries may not themselves carry frames.
 	Frames []DecodeRequest `json:"frames,omitempty"`
 	// Scenario is an optional workload label: frames carrying it accumulate
 	// into the per-scenario quality and QR-cache splits on /metrics. On a
@@ -147,10 +146,16 @@ func NewHandler(s *Scheduler, tx, rx int, mod string) http.Handler {
 
 func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// writeJSON encodes v before anything is sent, so a value encoding/json
+// cannot encode answers a typed 500 instead of its status with an empty
+// body. The bytes are what json.NewEncoder(w).Encode(v) writes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("serve: encode response: %w", err))
+		return
+	}
+	writeBody(w, code, append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
@@ -199,30 +204,6 @@ func (r *DecodeRequest) ToBatchInput() (core.BatchInput, error) {
 	return core.BatchInput{H: hm, Y: y, NoiseVar: r.NoiseVar}, nil
 }
 
-// responseFrom shapes one scheduler Response for the wire.
-func (h *handler) responseFrom(resp *Response) *DecodeResponse {
-	cons := h.s.Backend().Constellation()
-	buf := make([]int, cons.BitsPerSymbol())
-	bits := make([]int, 0, len(resp.Result.SymbolIdx)*cons.BitsPerSymbol())
-	for _, idx := range resp.Result.SymbolIdx {
-		bits = append(bits, cons.BitsOf(idx, buf)...)
-	}
-	return &DecodeResponse{
-		APIVersion:    APIVersion,
-		SymbolIndices: resp.Result.SymbolIdx,
-		Bits:          bits,
-		Metric:        resp.Result.Metric,
-		NodesExplored: resp.Result.Counters.NodesExpanded,
-		Quality:       resp.Result.Quality.String(),
-		DegradedBy:    resp.Result.DegradedBy,
-		BatchSize:     resp.BatchSize,
-		QueueWaitNS:   int64(resp.QueueWait),
-		ServiceNS:     int64(resp.Service),
-		SimulatedNS:   int64(resp.SimulatedTime),
-		Shed:          resp.Shed,
-	}
-}
-
 func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 	req, err := ReadDecodeRequest(r.Body)
 	if err != nil {
@@ -244,39 +225,27 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, h.responseFrom(resp))
+	h.writeDecode(w, resp)
 }
 
 // decodeBatch serves the frames form: every frame is converted first, so a
 // bad frame rejects the whole envelope before any frame is submitted, then
-// all are submitted concurrently so the scheduler's batcher can coalesce
-// them into shared dispatches.
+// the envelope is submitted as one unit so the scheduler's batcher can
+// coalesce its frames into shared dispatches.
 func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, frames []DecodeRequest) {
 	ins := make([]core.BatchInput, len(frames))
+	scenarios := make([]string, len(frames))
 	for i := range frames {
 		in, err := frames[i].ToBatchInput()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("frames[%d]: %w", i, err))
 			return
 		}
-		ins[i] = in
+		ins[i], scenarios[i] = in, frames[i].Scenario
 	}
-	results := make([]BatchDecodeResult, len(frames))
-	var wg sync.WaitGroup
-	for i := range frames {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := h.s.SubmitScenario(r.Context(), ins[i], frames[i].Scenario)
-			if err != nil {
-				results[i] = BatchDecodeResult{Error: err.Error()}
-				return
-			}
-			results[i] = BatchDecodeResult{DecodeResponse: h.responseFrom(resp)}
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchDecodeResponse{APIVersion: APIVersion, Results: results})
+	out := make([]result, len(frames))
+	h.s.submitFrames(r.Context(), ins, scenarios, out)
+	h.writeBatchDecode(w, out)
 }
 
 // trace streams JSON-lines search traces (GET /v1/trace?frames=N). The

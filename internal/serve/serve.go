@@ -114,16 +114,34 @@ type Response struct {
 	Shed bool
 }
 
-// result pairs a Response with a dispatch error for the reply channel.
+// result is one frame's outcome: a Response or an error, never both.
 type result struct {
 	out *Response
 	err error
 }
 
-// request is one queued frame. claimed settles the race between the worker
-// delivering the response and the submitter abandoning the wait on context
-// expiry: exactly one side wins the CAS, so an abandoned frame is counted
-// once and its (unobservable) response is never published to trace streams.
+// group is one submission: the frames a single submitFrames call admitted.
+// pending counts the admitted frames not yet answered plus the submitter's
+// own hold, which it drops once admission is over; whoever brings it to zero
+// closes done. One group answers a whole envelope with one wake-up.
+type group struct {
+	pending atomic.Int64
+	done    chan struct{}
+}
+
+// deliver drops one hold on g, waking the submitter on the last one.
+func (g *group) deliver() {
+	if g.pending.Add(-1) == 0 {
+		close(g.done)
+	}
+}
+
+// request is one frame of a submission. claimed settles who answers it: the
+// worker delivering the decode, the worker's panic path, or the submitter
+// abandoning the wait on context expiry. Exactly one side wins the CAS and
+// writes res, so an abandoned frame is counted once and its (unobservable)
+// response is never published to trace streams. A frame that was never
+// admitted is claimed by the submitter up front.
 type request struct {
 	in  core.BatchInput
 	enq time.Time
@@ -131,8 +149,18 @@ type request struct {
 	// unlabeled traffic); it keys the per-scenario quality and QR-cache
 	// splits in Stats.
 	scenario string
-	resp     chan result // buffered 1: workers never block on reply
+	g        *group
+	res      result
+	resp     Response // res.out's storage when a worker answers
 	claimed  atomic.Bool
+}
+
+// answer settles req with r unless someone has already claimed it.
+func (req *request) answer(r result) {
+	if req.claimed.CompareAndSwap(false, true) {
+		req.res = r
+		req.g.deliver()
+	}
 }
 
 // batch is one coalesced dispatch: the claimed requests plus the instant
@@ -381,45 +409,74 @@ func (s *Scheduler) Submit(ctx context.Context, in core.BatchInput) (*Response, 
 // accumulate into Stats.Scenarios[scenario] (quality mix plus the QR-cache
 // hits/misses their batches generated). An empty scenario is plain Submit.
 func (s *Scheduler) SubmitScenario(ctx context.Context, in core.BatchInput, scenario string) (*Response, error) {
-	if err := s.validator.ValidateInput(in); err != nil {
-		s.m.mu.Lock()
-		s.m.invalid++
-		s.m.mu.Unlock()
-		return nil, err
-	}
-	req := &request{in: in, enq: time.Now(), scenario: scenario, resp: make(chan result, 1)}
+	var out [1]result
+	s.submitFrames(ctx, []core.BatchInput{in}, []string{scenario}, out[:])
+	return out[0].out, out[0].err
+}
 
-	s.admit.RLock()
-	if s.closed {
-		s.admit.RUnlock()
-		return nil, ErrClosed
-	}
-	admitted, err := s.enqueue(ctx, req)
-	s.admit.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	if !admitted {
-		// Queue full under ShedToLinear: serve inline at linear cost.
-		return s.shedInline(req)
-	}
-
-	s.m.mu.Lock()
-	s.m.submitted++
-	s.m.mu.Unlock()
-
-	select {
-	case r := <-req.resp:
-		return r.out, r.err
-	case <-ctx.Done():
-		if !req.claimed.CompareAndSwap(false, true) {
-			// Lost the race: the worker already committed a response, so
-			// deliver it (the buffered send has either happened or is
-			// imminent) rather than reporting a timeout for decoded work.
-			r := <-req.resp
-			return r.out, r.err
+// submitFrames submits ins as one unit and blocks until every frame is
+// answered or ctx expires; out[i] receives frame i's outcome and scenario[i]
+// is its label. Frames are validated and admitted in order, each with
+// Submit's semantics: a frame that fails validation, meets a closed
+// scheduler, or finds the queue full under Reject gets its own error, and
+// one the queue turns away under ShedToLinear is served inline, without
+// affecting the rest. The admitted frames share one group, so the whole
+// submission wakes the caller once. On ctx expiry every frame no worker has
+// claimed is answered with ctx.Err(); its decode still runs with its batch.
+func (s *Scheduler) submitFrames(ctx context.Context, ins []core.BatchInput, scenario []string, out []result) {
+	g := &group{done: make(chan struct{})}
+	g.pending.Store(1) // the submitter's own hold, dropped after admission
+	reqs := make([]request, len(ins))
+	var invalid, submitted uint64
+	for i := range reqs {
+		req := &reqs[i]
+		req.in, req.scenario, req.g = ins[i], scenario[i], g
+		g.pending.Add(1)
+		if err := s.validator.ValidateInput(req.in); err != nil {
+			invalid++
+			req.answer(result{err: err})
+			continue
 		}
-		return nil, ctx.Err()
+		req.enq = time.Now()
+		admitted, err := false, ErrClosed
+		s.admit.RLock()
+		if !s.closed {
+			admitted, err = s.enqueue(ctx, req)
+		}
+		s.admit.RUnlock()
+		switch {
+		case err != nil:
+			req.answer(result{err: err})
+		case !admitted:
+			// Queue full under ShedToLinear: serve inline at linear cost.
+			resp, err := s.shedInline(req)
+			req.answer(result{out: resp, err: err})
+		default:
+			submitted++
+		}
+	}
+	if invalid+submitted > 0 {
+		s.m.mu.Lock()
+		s.m.invalid += invalid
+		s.m.submitted += submitted
+		s.m.mu.Unlock()
+	}
+
+	g.deliver()
+	select {
+	case <-g.done:
+	case <-ctx.Done():
+		// Abandon the wait, not the work. Frames a worker has already
+		// claimed are being delivered now, so wait for those rather than
+		// report a timeout for decoded work.
+		err := ctx.Err()
+		for i := range reqs {
+			reqs[i].answer(result{err: err})
+		}
+		<-g.done
+	}
+	for i := range reqs {
+		out[i] = reqs[i].res
 	}
 }
 
@@ -583,10 +640,9 @@ func (s *Scheduler) worker(w *workerCtl) {
 			if errors.As(err, &pe) {
 				s.recordPanic(w.id, pe)
 			}
+			r := result{err: fmt.Errorf("serve: batch decode: %w", err)}
 			for _, req := range b.reqs {
-				if req.claimed.CompareAndSwap(false, true) {
-					req.resp <- result{err: fmt.Errorf("serve: batch decode: %w", err)}
-				}
+				req.answer(r)
 			}
 		}
 	}
@@ -737,6 +793,10 @@ func (s *Scheduler) runBatch(w *workerCtl, b batch) {
 	}
 
 	respondStart := time.Now()
+	var batchErr error
+	if err != nil {
+		batchErr = fmt.Errorf("serve: batch decode: %w", err)
+	}
 	abandoned := make([]bool, len(reqs))
 	var abandonedCount uint64
 	for i, req := range reqs {
@@ -749,16 +809,18 @@ func (s *Scheduler) runBatch(w *workerCtl, b batch) {
 			continue
 		}
 		if err != nil {
-			req.resp <- result{err: fmt.Errorf("serve: batch decode: %w", err)}
-			continue
+			req.res.err = batchErr
+		} else {
+			req.resp = Response{
+				Result:        rep.Results[i],
+				BatchSize:     len(reqs),
+				QueueWait:     start.Sub(req.enq),
+				Service:       svc,
+				SimulatedTime: rep.SimulatedTime,
+			}
+			req.res.out = &req.resp
 		}
-		req.resp <- result{out: &Response{
-			Result:        rep.Results[i],
-			BatchSize:     len(reqs),
-			QueueWait:     start.Sub(req.enq),
-			Service:       svc,
-			SimulatedTime: rep.SimulatedTime,
-		}}
+		req.g.deliver()
 	}
 	if abandonedCount > 0 {
 		s.m.mu.Lock()
