@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire fuzz-preprocess fuzz-encode bench bench-check
+.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz fuzz-wire fuzz-ingest fuzz-preprocess fuzz-encode bench bench-check
 
 # check is the gate: static analysis, build, a single-iteration pass over
 # every benchmark (so the bench harness itself cannot rot), the serving
@@ -13,9 +13,10 @@ GO ?= go
 # (speedup, comparator-free, zero-alloc, servable), the adaptive
 # complexity controller's A/B gate end to end, the silent-data-
 # corruption defense under seeded fault injection, and short fuzzes of
-# the wire parser against encoding/json, of the serving QR kernel
+# the wire parser against encoding/json, of the envelope ingest against
+# encoding/json plus per-frame conversion, of the serving QR kernel
 # against cmatrix.QR, and of the response appender against encoding/json.
-check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire fuzz-preprocess fuzz-encode
+check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz-wire fuzz-ingest fuzz-preprocess fuzz-encode
 
 vet:
 	$(GO) vet ./...
@@ -117,6 +118,13 @@ bench-check:
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
 
+# fuzz-ingest fuzzes the envelope ingest differentially for 10 s: the
+# handler's parse (channel memo, slabs) and one-arena conversion must
+# accept, reject and decode every body as encoding/json plus ToBatchInput
+# frame by frame does, with no two frames sharing storage.
+fuzz-ingest:
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeIngest -fuzztime=10s ./internal/serve/
+
 # fuzz-preprocess fuzzes the serving QR kernel differentially against
 # cmatrix.QR for 10 s: the same error class on every input (NaN/Inf, N < M,
 # rank deficiency, overflowing norms), and on success the same R and ȳ.
@@ -137,4 +145,5 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPreprocess -fuzztime=30s ./internal/sphere/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeIngest -fuzztime=30s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeResponse -fuzztime=30s ./internal/serve/

@@ -66,10 +66,19 @@ func NewHandler(p *Proxy) http.Handler {
 
 func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// writeJSON encodes v before anything is sent, so a value encoding/json
+// cannot encode answers a typed 500 instead of its status with an empty
+// body. The bytes are what json.NewEncoder(w).Encode(v) writes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, serve.CodeInternal, fmt.Errorf("cluster: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is nobody to tell.
+	_, _ = w.Write(append(body, '\n'))
 }
 
 type errorBody struct {

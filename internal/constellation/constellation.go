@@ -304,6 +304,15 @@ func (c *Constellation) AvgEnergy() float64 {
 	return sum / float64(len(c.points))
 }
 
+// MaxMagnitude returns the largest |s| over the constellation's points.
+func (c *Constellation) MaxMagnitude() float64 {
+	m := 0.0
+	for _, p := range c.points {
+		m = max(m, cmplx.Abs(p))
+	}
+	return m
+}
+
 // MinDistance returns the minimum Euclidean distance between distinct
 // constellation points, which governs high-SNR error behaviour.
 func (c *Constellation) MinDistance() float64 {

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -190,10 +189,7 @@ func New(v fpga.Variant, mod constellation.Modulation, m, n int, opts Options) (
 		return nil, err
 	}
 	cons := constellation.New(mod)
-	a := &Accelerator{design: design, cons: cons}
-	for _, p := range cons.Points() {
-		a.symMax = max(a.symMax, cmplx.Abs(p))
-	}
+	a := &Accelerator{design: design, cons: cons, symMax: cons.MaxMagnitude()}
 	sd, err := sphere.New(sphere.Config{
 		Const:           cons,
 		Strategy:        opts.Strategy,
@@ -310,27 +306,36 @@ func (a *Accelerator) ValidateInput(in BatchInput) error {
 		return fmt.Errorf("%w: observation length %d, want %d",
 			ErrInvalidInput, len(in.Y), a.design.N)
 	}
-	// Finite entries can still overflow the metric the search forms: every
-	// leaf's ‖ȳ − Rs‖ is at most b = ‖y‖ + ‖H‖_F·√M·max|s|, and no leaf
-	// beats an infinite metric. Requiring (2b)² to be finite also bounds
-	// the QR's reflector energies (at most 4‖H‖²_F, and max|s| ≥ 1) and
-	// leaves headroom for rounding. A NaN/Inf entry makes b non-finite too,
-	// so a valid input costs one pass; the entry scans only name the failure.
-	b := math.Sqrt(cmatrix.Norm2Sq(in.Y)) +
-		math.Sqrt(cmatrix.Norm2Sq(in.H.Data)*float64(a.design.M))*a.symMax
-	if !(4*b*b <= math.MaxFloat64) {
-		switch {
-		case !in.H.IsFinite():
-			return fmt.Errorf("%w: channel matrix has NaN/Inf entries", ErrInvalidInput)
-		case !in.Y.IsFinite():
-			return fmt.Errorf("%w: observation has NaN/Inf entries", ErrInvalidInput)
-		}
-		return fmt.Errorf("%w: search metric overflows (‖y‖ + ‖H‖_F·√M·max|s| = %g)", ErrInvalidInput, b)
+	if err := CheckSearchMetric(in.H, in.Y, a.symMax); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	if in.NoiseVar <= 0 || math.IsNaN(in.NoiseVar) || math.IsInf(in.NoiseVar, 0) {
 		return fmt.Errorf("%w: noise variance %v (want finite > 0)", ErrInvalidInput, in.NoiseVar)
 	}
 	return nil
+}
+
+// CheckSearchMetric reports an error when the metric a search over H and
+// y can form might overflow, for a constellation whose largest |s| is
+// symMax. Finite entries can still overflow it: every leaf's ‖ȳ − Rs‖ is
+// at most b = ‖y‖ + ‖H‖_F·√M·max|s|, and no leaf beats an infinite metric.
+// Requiring (2b)² to be finite also bounds the QR's reflector energies (at
+// most 4‖H‖²_F, and max|s| ≥ 1) and leaves headroom for rounding. A
+// NaN/Inf entry makes b non-finite too, so a valid input costs one pass;
+// the entry scans only name the failure. The error wraps no sentinel:
+// every caller wraps its own.
+func CheckSearchMetric(h *cmatrix.Matrix, y cmatrix.Vector, symMax float64) error {
+	b := math.Sqrt(cmatrix.Norm2Sq(y)) + math.Sqrt(cmatrix.Norm2Sq(h.Data)*float64(h.Cols))*symMax
+	if 4*b*b <= math.MaxFloat64 {
+		return nil
+	}
+	switch {
+	case !h.IsFinite():
+		return errors.New("channel matrix has NaN/Inf entries")
+	case !y.IsFinite():
+		return errors.New("observation has NaN/Inf entries")
+	}
+	return fmt.Errorf("search metric overflows (‖y‖ + ‖H‖_F·√M·max|s| = %g)", b)
 }
 
 // validateInput is ValidateInput with the batch position prefixed to the

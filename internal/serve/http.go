@@ -180,28 +180,59 @@ func submitStatus(r *http.Request, err error) (int, string) {
 
 // ToBatchInput converts the wire request into the decoder's input form. It
 // is exported for the cluster proxy, which needs the parsed channel matrix
-// to fingerprint-route a frame before forwarding it.
+// to fingerprint-route a frame before forwarding it. It is the one-frame
+// call of the conversion an envelope goes through.
 func (r *DecodeRequest) ToBatchInput() (core.BatchInput, error) {
-	rows := len(r.H)
-	if rows == 0 {
-		return core.BatchInput{}, errors.New("empty channel matrix")
+	var in [1]core.BatchInput
+	if _, err := toBatchInputs([]DecodeRequest{*r}, in[:]); err != nil {
+		return core.BatchInput{}, err
 	}
-	cols := len(r.H[0])
-	hm := cmatrix.NewMatrix(rows, cols)
-	for i, row := range r.H {
-		if len(row) != cols {
-			return core.BatchInput{}, fmt.Errorf("ragged channel matrix: row %d has %d entries, row 0 has %d", i, len(row), cols)
+	return in[0], nil
+}
+
+// toBatchInputs converts frames into ins, the decoder's input form. Every
+// frame's H and y are laid out in one []complex128 and every H header in
+// one []cmatrix.Matrix, allocated per call and never recycled: the QR
+// cache keeps the matrix a handle was factored from and checks later hits
+// against it, so that storage must not change while the handle is cached.
+// On failure nothing is converted and bad is the index of the first frame
+// that is not a channel matrix.
+func toBatchInputs(frames []DecodeRequest, ins []core.BatchInput) (bad int, err error) {
+	n := 0
+	for i := range frames {
+		r := &frames[i]
+		if len(r.H) == 0 || len(r.H[0]) == 0 {
+			return i, errors.New("empty channel matrix")
 		}
-		dst := hm.Row(i)
-		for j, e := range row {
-			dst[j] = complex(e[0], e[1])
+		cols := len(r.H[0])
+		for k, row := range r.H {
+			if len(row) != cols {
+				return i, fmt.Errorf("ragged channel matrix: row %d has %d entries, row 0 has %d", k, len(row), cols)
+			}
 		}
+		n += len(r.H)*cols + len(r.Y)
 	}
-	y := make(cmatrix.Vector, len(r.Y))
-	for i, e := range r.Y {
-		y[i] = complex(e[0], e[1])
+	vals := make([]complex128, n)
+	mats := make([]cmatrix.Matrix, len(frames))
+	for i := range frames {
+		r := &frames[i]
+		rows, cols := len(r.H), len(r.H[0])
+		h := vals[: rows*cols : rows*cols]
+		for k, row := range r.H {
+			dst := h[k*cols : (k+1)*cols]
+			for j, e := range row {
+				dst[j] = complex(e[0], e[1])
+			}
+		}
+		y := vals[rows*cols : rows*cols+len(r.Y) : rows*cols+len(r.Y)]
+		for k, e := range r.Y {
+			y[k] = complex(e[0], e[1])
+		}
+		vals = vals[rows*cols+len(r.Y):]
+		mats[i] = cmatrix.Matrix{Rows: rows, Cols: cols, Data: h}
+		ins[i] = core.BatchInput{H: &mats[i], Y: y, NoiseVar: r.NoiseVar}
 	}
-	return core.BatchInput{H: hm, Y: y, NoiseVar: r.NoiseVar}, nil
+	return 0, nil
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
@@ -234,14 +265,13 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 // coalesce its frames into shared dispatches.
 func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, frames []DecodeRequest) {
 	ins := make([]core.BatchInput, len(frames))
+	if i, err := toBatchInputs(frames, ins); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("frames[%d]: %w", i, err))
+		return
+	}
 	scenarios := make([]string, len(frames))
 	for i := range frames {
-		in, err := frames[i].ToBatchInput()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("frames[%d]: %w", i, err))
-			return
-		}
-		ins[i], scenarios[i] = in, frames[i].Scenario
+		scenarios[i] = frames[i].Scenario
 	}
 	out := make([]result, len(frames))
 	h.s.submitFrames(r.Context(), ins, scenarios, out)

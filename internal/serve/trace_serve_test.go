@@ -200,6 +200,8 @@ func TestHTTPAPIVersionAndTypedErrors(t *testing.T) {
 		{"mixed forms", `{"h":[[[1,0]]],"frames":[{"h":[[[1,0]]],"y":[[1,0]],"noise_var":0.1}]}`, CodeBadRequest},
 		{"nested frames", `{"frames":[{"frames":[{"h":[[[1,0]]]}]}]}`, CodeBadRequest},
 		{"undecodable shape", `{"h":[[[1,0]]],"y":[[1,0],[0,1]],"noise_var":0.1}`, CodeInvalidInput},
+		{"empty first row", `{"h":[[]],"y":[[1,0]],"noise_var":0.1}`, CodeBadRequest},
+		{"empty rows in an envelope", `{"frames":[{"h":[[[1,0]]],"y":[[1,0]],"noise_var":0.1},{"h":[[],[]]}]}`, CodeBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(srv.URL+"/v1/decode", "application/json", strings.NewReader(c.body))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"strconv"
 	"sync"
@@ -19,9 +20,13 @@ import (
 // strconv.ParseFloat for what it cannot decide, so every float is
 // bit-identical to what encoding/json produces. A pair written without
 // whitespace, [num,num], is decoded in one step when both numbers take
-// the fast path. Accepted inputs and decoded values match exactly what
-// encoding/json's reflection decoder (json.Decoder with
-// DisallowUnknownFields) makes of the same struct, quirks included:
+// the fast path. An h value byte-identical to one already parsed in the
+// same body is copied instead of scanned again (channelMemo), and the
+// decoded pairs and row headers are carved out of chunks sized from the
+// body (slab) instead of one allocation per matrix and per y. Accepted
+// inputs and decoded values match exactly what encoding/json's reflection
+// decoder (json.Decoder with DisallowUnknownFields) makes of the same
+// struct, quirks included:
 //
 //   - keys match case-insensitively (bytes.EqualFold), after unescaping;
 //   - values decode into what is already there, so a repeated key wins but
@@ -39,17 +44,23 @@ import (
 // objects.
 const maxNestingDepth = 10000
 
-// wireParser is the cursor over one body. The scratch slices are reused
-// across parses through parserPool.
+// wireParser is the cursor over one body. The scratch slices and the
+// memo's tables are reused across parses through parserPool; nothing a
+// parse decodes or remembers is.
 type wireParser struct {
 	data  []byte
 	pos   int
 	depth int
 	// pairs stages freshly decoded [re, im] pairs before they are copied
-	// into an exactly sized backing array; rowEnds records where each h
-	// row ends in it (-1 for a null row).
+	// into an exactly sized slice carved from pairSlab; rowEnds records
+	// where each h row ends in it (-1 for a null row).
 	pairs   [][2]float64
 	rowEnds []int
+	// pairSlab and rowSlab hold this body's decoded pairs and h row
+	// headers.
+	pairSlab slab[[2]float64]
+	rowSlab  slab[[][2]float64]
+	memo     channelMemo
 }
 
 // Pooled scratch and body buffers are dropped rather than kept when one
@@ -60,10 +71,25 @@ const (
 	maxPooledBody  = 1 << 20
 )
 
+// The first chunk of a slab is sized from the body at these many body
+// bytes per element (json.Marshal writes a float pair in about 40 bytes,
+// and a 4×4 channel row in about 180); later chunks extrapolate the
+// density the body has shown so far.
+const (
+	bytesPerPair = 40
+	bytesPerRow  = 200
+)
+
 var (
-	parserPool = sync.Pool{New: func() any { return new(wireParser) }}
+	parserPool = sync.Pool{New: func() any { return newWireParser() }}
 	bodyPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
+
+func newWireParser() *wireParser {
+	p := new(wireParser)
+	p.pairSlab.bytesPer, p.rowSlab.bytesPer = bytesPerPair, bytesPerRow
+	return p
+}
 
 // parseDecodeRequest decodes the JSON value at the front of data into r and
 // returns the offset just past it.
@@ -83,6 +109,12 @@ func parseDecodeRequest(data []byte, r *DecodeRequest) (int, error) {
 	p.data = nil
 	if cap(p.pairs) > maxPooledPairs {
 		p.pairs = nil
+	}
+	p.pairSlab.reset()
+	p.rowSlab.reset()
+	p.memo.reset()
+	if len(p.memo.slots) > maxPooledSlots {
+		p.memo.slots, p.memo.entries = nil, nil
 	}
 	parserPool.Put(p)
 	return n, err
@@ -212,6 +244,7 @@ func (p *wireParser) frames(dst *[]DecodeRequest) error {
 	if err := p.open(); err != nil {
 		return err
 	}
+	start := p.pos
 	fr := *dst
 	i := 0
 	for ; ; i++ {
@@ -221,6 +254,9 @@ func (p *wireParser) frames(dst *[]DecodeRequest) error {
 		}
 		if !more {
 			break
+		}
+		if i > 0 && i == cap(fr) {
+			fr = p.reserveFrames(fr, start)
 		}
 		fr = grow(fr, i)
 		switch p.peek() {
@@ -239,8 +275,24 @@ func (p *wireParser) frames(dst *[]DecodeRequest) error {
 	return nil
 }
 
+// reserveFrames moves the len(fr) == cap(fr) frames decoded so far into a
+// slice with room for as many more as the rest of the body holds at their
+// average size, so an envelope's frames land in about one allocation
+// instead of a doubling series. It reserves at least double, as append
+// would, and at most one frame per 32 body bytes left; the new elements
+// are zero, as grow requires of elements past the old capacity.
+func (p *wireParser) reserveFrames(fr []DecodeRequest, start int) []DecodeRequest {
+	rest := len(p.data) - p.pos
+	per := max((p.pos-start)/len(fr), 32)
+	out := make([]DecodeRequest, len(fr), len(fr)+max(len(fr), rest/per+1))
+	copy(out, fr)
+	return out
+}
+
 // matrix decodes h into *dst. A fresh matrix is staged in p.pairs and
-// copied into one exactly sized backing array that the rows sub-slice.
+// copied into one exactly sized slice carved from p.pairSlab that the
+// rows sub-slice, unless the memo holds a byte-identical h from earlier
+// in the body, whose rows are then copied instead.
 func (p *wireParser) matrix(dst *[][][2]float64) error {
 	switch p.peek() {
 	case 'n':
@@ -251,7 +303,16 @@ func (p *wireParser) matrix(dst *[][][2]float64) error {
 		return p.mismatch("h")
 	}
 	if cap(*dst) > 0 {
+		// Rewriting rows in place could change rows the memo remembers.
+		p.memo.reset()
 		return p.matrixInto(dst)
+	}
+	start, depth := p.pos, p.depth
+	hash, slot := p.memo.lookup(p.data, start)
+	if e := p.memo.find(slot, p.data, start, depth); e != nil {
+		*dst = p.copyRows(e.rows)
+		p.pos += e.end - e.start
+		return nil
 	}
 	if err := p.open(); err != nil {
 		return err
@@ -280,10 +341,10 @@ func (p *wireParser) matrix(dst *[][][2]float64) error {
 			return err
 		}
 	}
-	backing := make([][2]float64, len(p.pairs)-mark)
+	backing := p.pairSlab.take(len(p.pairs)-mark, p.pos, len(p.data))
 	copy(backing, p.pairs[mark:])
 	p.pairs = p.pairs[:mark]
-	rows := make([][][2]float64, len(p.rowEnds))
+	rows := p.rowSlab.take(len(p.rowEnds), p.pos, len(p.data))
 	off := 0
 	for i, end := range p.rowEnds {
 		if end >= 0 {
@@ -292,8 +353,29 @@ func (p *wireParser) matrix(dst *[][][2]float64) error {
 			off = end
 		}
 	}
+	p.memo.remember(hash, slot, start, p.pos, depth, rows)
 	*dst = rows
 	return nil
+}
+
+// copyRows lays a copy of rows out the way a fresh parse of the same
+// bytes would: one slice of pairs that the rows sub-slice, null rows nil.
+func (p *wireParser) copyRows(rows [][][2]float64) [][][2]float64 {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	backing := p.pairSlab.take(n, p.pos, len(p.data))
+	out := p.rowSlab.take(len(rows), p.pos, len(p.data))
+	off := 0
+	for i, row := range rows {
+		if row != nil {
+			end := off + copy(backing[off:], row)
+			out[i] = backing[off:end:end]
+			off = end
+		}
+	}
+	return out
 }
 
 // matrixInto decodes h into a matrix a repeated key left behind, reusing
@@ -354,7 +436,7 @@ func (p *wireParser) pairsInto(dst [][2]float64) ([][2]float64, error) {
 		if err := p.stagePairs(); err != nil {
 			return dst, err
 		}
-		out := make([][2]float64, len(p.pairs)-mark)
+		out := p.pairSlab.take(len(p.pairs)-mark, p.pos, len(p.data))
 		copy(out, p.pairs[mark:])
 		p.pairs = p.pairs[:mark]
 		return out, nil
@@ -542,6 +624,149 @@ func truncate[T any](s []T, n int) []T {
 		return []T{}
 	}
 	return s[:n]
+}
+
+// slab carves exactly sized slices, each capped at its own length, out of
+// chunks allocated while one body is parsed. The decoded request keeps
+// pointing into them, so a chunk is never reused for another body.
+type slab[T any] struct {
+	free     []T // the unused tail of the current chunk
+	used     int // elements carved for this body so far
+	bytesPer int // body bytes per element assumed for the first chunk
+}
+
+// take returns a zeroed slice of n elements. A new chunk holds room for
+// the rest of the body, consumed of whose total bytes have been parsed:
+// at bytesPer for the first chunk, at the density seen so far after that.
+// An empty slice is non-nil, as a fresh decode of [] is.
+func (s *slab[T]) take(n, consumed, total int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if n > len(s.free) {
+		rest := total - consumed
+		more := rest / s.bytesPer
+		if s.used > 0 {
+			more = int(int64(s.used) * int64(rest) / int64(max(consumed, 1)))
+		}
+		s.free = make([]T, n+more)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.used += n
+	return out
+}
+
+// reset drops the current chunk: what is left of it belongs to the body
+// just parsed.
+func (s *slab[T]) reset() { s.free, s.used = nil, 0 }
+
+// channelMemo remembers the h values parsed in one body, so a channel an
+// envelope repeats (an OFDM coherence block sends each one to many
+// subcarriers) is copied instead of scanned again. A value is looked up
+// by a hash of its first memoPrefix bytes in an open-addressed table and
+// confirmed by comparing the whole remembered span byte for byte at the
+// same nesting depth: the bytes of a value and its depth decide
+// everything its parse does, the nesting limit included, so a hit decodes
+// exactly what a fresh parse would. A table slot holds the latest value
+// with its hash, so a lookup costs one hash, a short probe and at most
+// one span comparison. Only successfully parsed fresh matrices are
+// remembered, and rewriting rows in place (matrixInto) forgets everything
+// first.
+type channelMemo struct {
+	gen     uint32   // stamps this body's slots; 0 is never current
+	slots   []uint64 // gen<<32 | index into entries; a power of two long
+	entries []memoEntry
+}
+
+// memoEntry is one remembered h: its prefix hash, its span in the body,
+// the depth it was parsed at and the rows it decoded to.
+type memoEntry struct {
+	hash              uint64
+	start, end, depth int
+	rows              [][][2]float64
+}
+
+const (
+	memoPrefix = 64
+	// A table starts at minMemoSlots and doubles to stay at most half
+	// full; one larger than maxPooledSlots is not kept for the next body.
+	minMemoSlots   = 64
+	maxPooledSlots = 1 << 12
+)
+
+var memoSeed = maphash.MakeSeed()
+
+// lookup hashes the value at data[start] and returns the hash with the
+// slot that holds a value of that hash, or the free slot where it goes.
+func (m *channelMemo) lookup(data []byte, start int) (hash uint64, slot int) {
+	if m.slots == nil {
+		m.slots = make([]uint64, minMemoSlots)
+	}
+	if m.gen == 0 {
+		m.gen = 1
+	}
+	hash = maphash.Bytes(memoSeed, data[start:min(start+memoPrefix, len(data))])
+	mask := len(m.slots) - 1
+	for slot = int(hash) & mask; ; slot = (slot + 1) & mask {
+		if s := m.slots[slot]; uint32(s>>32) != m.gen || m.entries[uint32(s)].hash == hash {
+			return hash, slot
+		}
+	}
+}
+
+// find returns the entry in slot whose span the bytes at data[start]
+// repeat at the same depth, or nil.
+func (m *channelMemo) find(slot int, data []byte, start, depth int) *memoEntry {
+	s := m.slots[slot]
+	if uint32(s>>32) != m.gen {
+		return nil
+	}
+	e := &m.entries[uint32(s)]
+	n := e.end - e.start
+	if e.depth != depth || len(data)-start < n || !bytes.Equal(data[start:start+n], data[e.start:e.end]) {
+		return nil
+	}
+	return e
+}
+
+// remember records in slot, found by lookup for hash, that
+// data[start:end], parsed at depth, decoded to rows.
+func (m *channelMemo) remember(hash uint64, slot, start, end, depth int, rows [][][2]float64) {
+	m.slots[slot] = uint64(m.gen)<<32 | uint64(len(m.entries))
+	m.entries = append(m.entries, memoEntry{hash: hash, start: start, end: end, depth: depth, rows: rows})
+	if 2*len(m.entries) > len(m.slots) {
+		m.grow()
+	}
+}
+
+// grow doubles the table and re-enters this body's values in the order
+// they were remembered, so a later value still replaces an earlier one
+// of the same hash.
+func (m *channelMemo) grow() {
+	m.slots = make([]uint64, 2*len(m.slots))
+	mask := len(m.slots) - 1
+	for k := range m.entries {
+		slot := int(m.entries[k].hash) & mask
+		for {
+			s := m.slots[slot]
+			if uint32(s>>32) != m.gen || m.entries[uint32(s)].hash == m.entries[k].hash {
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+		m.slots[slot] = uint64(m.gen)<<32 | uint64(k)
+	}
+}
+
+// reset forgets every entry.
+func (m *channelMemo) reset() {
+	clear(m.entries)
+	m.entries = m.entries[:0]
+	if m.gen++; m.gen == 0 {
+		clear(m.slots)
+		m.gen = 1
+	}
 }
 
 // The lexical layer: whitespace, structure, literals, numbers, strings and

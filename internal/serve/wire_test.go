@@ -13,6 +13,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/cmatrix"
 	"repro/internal/constellation"
+	"repro/internal/core"
 	"repro/internal/ofdm"
 	"repro/internal/ofdm/scenario"
 	"repro/internal/rng"
@@ -258,6 +259,8 @@ var httpAPIBodies = []string{
 	`{"h":[[[1,0]]],"frames":[{"h":[[[1,0]]],"y":[[1,0]],"noise_var":0.1}]}`,
 	`{"frames":[{"frames":[{"h":[[[1,0]]]}]}]}`,
 	`{"h":[[[1,0]]],"y":[[1,0],[0,1]],"noise_var":0.1}`,
+	`{"h":[[]],"y":[[1,0]],"noise_var":0.1}`,
+	`{"frames":[{"h":[[[1,0]]],"y":[[1,0]],"noise_var":0.1},{"h":[[],[]]}]}`,
 }
 
 // wireFrame is the wire form of one detection problem.
@@ -279,6 +282,16 @@ func wireFrame(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64) DecodeRequ
 // gridDenseEnvelope is the first n frames of one coherence block of the
 // static-dense OFDM scenario (256 frames of 4×4 QPSK) as a batch envelope.
 func gridDenseEnvelope(tb testing.TB, seed uint64, n int) []byte {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return gridDenseFrames(tb, seed, idx...)
+}
+
+// gridDenseFrames is the frames idx of one static-dense coherence block as
+// a batch envelope. The block's channel repeats every 32 frames.
+func gridDenseFrames(tb testing.TB, seed uint64, idx ...int) []byte {
 	tb.Helper()
 	sc, err := scenario.Lookup("static-dense")
 	if err != nil {
@@ -293,8 +306,8 @@ func gridDenseEnvelope(tb testing.TB, seed uint64, n int) []byte {
 		tb.Fatal(err)
 	}
 	var env DecodeRequest
-	for _, f := range block[:n] {
-		env.Frames = append(env.Frames, wireFrame(f.H, f.Y, f.NoiseVar))
+	for _, i := range idx {
+		env.Frames = append(env.Frames, wireFrame(block[i].H, block[i].Y, block[i].NoiseVar))
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
@@ -336,6 +349,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add([]byte(deepPair(maxNestingDepth - 3)))
 	f.Add([]byte(deepPair(maxNestingDepth - 2)))
+	for _, s := range memoBodies {
+		f.Add([]byte(s))
+	}
+	f.Add(gridDenseFrames(f, 1, 0, 1, 32, 33, 64))
 	// A short envelope: the fuzzer spends up to a minute minimizing each
 	// new input derived from a seed, which a full 226 KB block would
 	// stretch into most of the budget.
@@ -399,9 +416,10 @@ func TestWireRowsShareBacking(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeRequest prices what the HTTP front end does to a body
-// before any frame is submitted: the wire parse and form checks
-// (ReadDecodeRequest) plus ToBatchInput for every frame, per frame.
+// BenchmarkDecodeRequest prices what the HTTP front end does to an
+// envelope before any frame is submitted: the wire parse and form checks
+// (ReadDecodeRequest) plus the envelope conversion decodeBatch runs, per
+// frame.
 func BenchmarkDecodeRequest(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -426,10 +444,9 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for k := range req.Frames {
-					if _, err := req.Frames[k].ToBatchInput(); err != nil {
-						b.Fatal(err)
-					}
+				ins := make([]core.BatchInput, len(req.Frames))
+				if _, err := toBatchInputs(req.Frames, ins); err != nil {
+					b.Fatal(err)
 				}
 			}
 			runtime.ReadMemStats(&after)
@@ -437,6 +454,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 			n := float64(b.N * frames)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/frame")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/frame")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/frame")
 		})
 	}
 }

@@ -257,6 +257,12 @@ func NewPreprocessCache(capacity int) *PreprocessCache {
 // reference on it. The handle may be shared with other callers and is
 // immutable until the caller releases it; after Release the caller must
 // not touch it again.
+//
+// A handle factored on a miss keeps h itself (p.H), not a copy, and every
+// later hit is checked against it entry for entry. So the caller must not
+// reuse or modify h's storage while the handle may still be cached, which
+// includes after Release: a later hit would be checked against values
+// that are no longer the channel the handle was factored from.
 func (c *PreprocessCache) Get(h *cmatrix.Matrix) (*Preprocessed, error) {
 	fp := h.Fingerprint()
 	c.mu.Lock()

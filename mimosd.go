@@ -236,8 +236,10 @@ type Detection struct {
 }
 
 // checkLinkInput validates raw caller input against the configuration and
-// packs the channel into matrix form. All failures wrap ErrInvalidInput.
-func checkLinkInput(mc mimo.Config, h [][]complex128, y []complex128, noiseVar float64) (*cmatrix.Matrix, error) {
+// packs the channel into matrix form; symMax is the largest |s| of the
+// configured constellation, which bounds the search metric (see
+// core.CheckSearchMetric). All failures wrap ErrInvalidInput.
+func checkLinkInput(mc mimo.Config, symMax float64, h [][]complex128, y []complex128, noiseVar float64) (*cmatrix.Matrix, error) {
 	if len(h) != mc.Rx {
 		return nil, fmt.Errorf("%w: H has %d rows, config says %d", ErrInvalidInput, len(h), mc.Rx)
 	}
@@ -248,14 +250,11 @@ func checkLinkInput(mc mimo.Config, h [][]complex128, y []complex128, noiseVar f
 		}
 		copy(hm.Row(i), row)
 	}
-	if !hm.IsFinite() {
-		return nil, fmt.Errorf("%w: channel matrix has NaN/Inf entries", ErrInvalidInput)
-	}
 	if len(y) != mc.Rx {
 		return nil, fmt.Errorf("%w: Y has %d entries, config says %d", ErrInvalidInput, len(y), mc.Rx)
 	}
-	if !cmatrix.Vector(y).IsFinite() {
-		return nil, fmt.Errorf("%w: observation has NaN/Inf entries", ErrInvalidInput)
+	if err := core.CheckSearchMetric(hm, y, symMax); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	if noiseVar <= 0 || math.IsNaN(noiseVar) || math.IsInf(noiseVar, 0) {
 		return nil, fmt.Errorf("%w: noise variance %v (want finite > 0)", ErrInvalidInput, noiseVar)
@@ -273,7 +272,7 @@ func prepareInput(cfg Config, h [][]complex128, y []complex128, noiseVar float64
 	if err != nil {
 		return mimo.Config{}, nil, nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	hm, err := checkLinkInput(mc, h, y, noiseVar)
+	hm, err := checkLinkInput(mc, cons.MaxMagnitude(), h, y, noiseVar)
 	if err != nil {
 		return mimo.Config{}, nil, nil, err
 	}
@@ -281,7 +280,8 @@ func prepareInput(cfg Config, h [][]complex128, y []complex128, noiseVar float64
 }
 
 // ValidateInput checks one detection input against cfg without decoding it:
-// configuration validity, dimensions, finiteness, and the noise-variance
+// configuration validity, dimensions, finiteness, a search metric that
+// cannot overflow (core.CheckSearchMetric), and the noise-variance
 // contract. It is exactly the admission check Detect and DetectSoft perform;
 // a nil return guarantees those calls will not reject the input. All
 // failures wrap ErrInvalidInput.
@@ -492,8 +492,9 @@ func SimulateTiming(cfg Config, snrDB float64, frames int, seed uint64) (*Timing
 // Accelerator is the public handle on the integrated FPGA sphere-decoder
 // product (internal/core): decode batches, read hardware reports.
 type Accelerator struct {
-	inner *core.Accelerator
-	cfg   mimo.Config
+	inner  *core.Accelerator
+	cfg    mimo.Config
+	symMax float64 // largest |s| of cfg's constellation
 }
 
 // Variant names for NewAccelerator.
@@ -505,7 +506,7 @@ const (
 // NewAccelerator builds an accelerator for cfg. variant is
 // VariantBaseline or VariantOptimized.
 func NewAccelerator(cfg Config, variant string) (*Accelerator, error) {
-	mc, _, err := cfg.parse()
+	mc, cons, err := cfg.parse()
 	if err != nil {
 		return nil, err
 	}
@@ -522,7 +523,7 @@ func NewAccelerator(cfg Config, variant string) (*Accelerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Accelerator{inner: inner, cfg: mc}, nil
+	return &Accelerator{inner: inner, cfg: mc, symMax: cons.MaxMagnitude()}, nil
 }
 
 // HardwareReport summarizes the accelerator's static hardware profile.
@@ -582,7 +583,7 @@ func (a *Accelerator) batchInputs(links []*Link) ([]core.BatchInput, error) {
 		if l == nil {
 			return nil, fmt.Errorf("%w: link %d is nil", ErrInvalidInput, i)
 		}
-		hm, err := checkLinkInput(a.cfg, l.H, l.Y, l.NoiseVar)
+		hm, err := checkLinkInput(a.cfg, a.symMax, l.H, l.Y, l.NoiseVar)
 		if err != nil {
 			return nil, fmt.Errorf("link %d: %w", i, err)
 		}

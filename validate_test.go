@@ -2,6 +2,7 @@ package mimosd
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -103,5 +104,74 @@ func TestDecodeBatchOptions(t *testing.T) {
 	}
 	if !tight.Degraded {
 		t.Fatal("1-node batch budget did not degrade")
+	}
+}
+
+// TestValidateInputMatchesDetectAcrossScales: ValidateInput accepts a link
+// exactly when Detect decodes it to a finite metric, from unit scale up to
+// past the float64 range. The links near the top overflow the search
+// metric with finite entries; the first is 4×4 QPSK with H = 6e153·I and
+// y = 1.3e154·e₁, which ValidateInput used to accept and the sphere
+// decoder then failed ("no leaf found … despite infinite radius").
+func TestValidateInputMatchesDetectAcrossScales(t *testing.T) {
+	cfg := Config{TxAntennas: 4, RxAntennas: 4, Modulation: "4-QAM"}
+	diag := [][]complex128{{6e153, 0, 0, 0}, {0, 6e153, 0, 0}, {0, 0, 6e153, 0}, {0, 0, 0, 6e153}}
+	e1 := []complex128{1.3e154, 0, 0, 0}
+	random, err := RandomLink(cfg, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := func(h [][]complex128, y []complex128, s float64) ([][]complex128, []complex128) {
+		hs := make([][]complex128, len(h))
+		for i, row := range h {
+			hs[i] = make([]complex128, len(row))
+			for j, v := range row {
+				hs[i][j] = v * complex(s, 0)
+			}
+		}
+		ys := make([]complex128, len(y))
+		for i, v := range y {
+			ys[i] = v * complex(s, 0)
+		}
+		return hs, ys
+	}
+	type link struct {
+		name string
+		h    [][]complex128
+		y    []complex128
+	}
+	links := []link{{"6e153·I", diag, e1}}
+	// Powers of two scale exactly; the random link's metric bound crosses
+	// the float64 range near 2^510.
+	for e := 0; e <= 1030; e += 2 {
+		h, y := scaled(random.H, random.Y, math.Ldexp(1, e))
+		links = append(links, link{fmt.Sprintf("random·2^%d", e), h, y})
+	}
+	for _, e := range []float64{0.5, 0.9, 0.99, 1, 1.01, 1.1, 2} {
+		h, y := scaled(diag, e1, e)
+		links = append(links, link{fmt.Sprintf("%g·(6e153·I)", e), h, y})
+	}
+	var accepted, rejected int
+	for _, l := range links {
+		vErr := ValidateInput(cfg, l.h, l.y, 1)
+		if vErr == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+		for _, alg := range []Algorithm{AlgSphereDecoder, AlgSphereSQRD, AlgML, AlgZF} {
+			det, dErr := Detect(cfg, alg, l.h, l.y, 1)
+			switch {
+			case vErr == nil && dErr != nil:
+				t.Errorf("%s, %s: ValidateInput accepted it, Detect failed: %v", l.name, alg, dErr)
+			case vErr == nil && (math.IsInf(det.Metric, 0) || math.IsNaN(det.Metric)):
+				t.Errorf("%s, %s: ValidateInput accepted it, Detect returned metric %v", l.name, alg, det.Metric)
+			case vErr != nil && (dErr == nil || dErr.Error() != vErr.Error()):
+				t.Errorf("%s, %s: Detect error %v, ValidateInput predicts %v", l.name, alg, dErr, vErr)
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("the sweep must cross the bound: %d accepted, %d rejected", accepted, rejected)
 	}
 }
